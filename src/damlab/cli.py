@@ -183,7 +183,7 @@ def cmd_dam_distribution(scn, args, out_dir):
     return 0
 
 
-def _sweep_chart(result, title, xlabel, ylabel):
+def _sweep_chart(title, xlabel, ylabel):
     chart = LineChart(title=title, xlabel=xlabel, ylabel=ylabel,
                       xlog=True, ylog=True)
     return chart
@@ -195,7 +195,6 @@ def cmd_scaling(scn, args, out_dir):
     sweep_csv(result, csv_path)
     dam = result.series("dam")
     chart = _sweep_chart(
-        result,
         f"estimation error vs {result.axis}, {scn.model_name}",
         result.axis,
         "parameter error",
@@ -238,8 +237,7 @@ def cmd_nonadiabaticity(scn, args, out_dir):
     csv_path = out_dir / "nonadiabaticity.csv"
     sweep_csv(result, csv_path)
     rows = result.series("delta")
-    chart = _sweep_chart(result, f"kernel deviation vs T, {scn.model_name}",
-                         "T", "Delta")
+    chart = _sweep_chart(f"kernel deviation vs T, {scn.model_name}", "T", "Delta")
     chart.add("exact", [r.value for r in rows], [r.delta for r in rows])
     chart.add("leading 1/T form", [r.value for r in rows],
               [r.predicted for r in rows], dashed=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .models import (
     dissipation_coefficient,
@@ -151,25 +151,77 @@ def table_link(thetas, avals):
     )
 
 
-def steady_expectation_link(model, a, table_points=401, margin_rel=1e-6):
-    """Numeric link theta -> tr(A rho_theta) for a single-parameter model.
+NEWTON_MAX_STEPS = 60
+NEWTON_RTOL = 1e-13
 
-    Forward values come from the steady-state bundle; the inverse seeds from
-    a dense monotone table and polishes with Newton steps on the exact
-    forward map.
+
+def _affine_split(model):
+    """(L0, L1) with L(theta) = L0 + theta L1, fitted at two interior points
+    and checked at a third."""
+    lo, hi = model.param_domain[0]
+    t1, t2, t3 = (lo + frac * (hi - lo) for frac in (0.25, 0.75, 0.6))
+    la, lb = model.liouvillian([t1]), model.liouvillian([t2])
+    l1 = (lb - la) / (t2 - t1)
+    l0 = la - t1 * l1
+    defect = np.abs(model.liouvillian([t3]) - (l0 + t3 * l1)).max()
+    if defect > 1e-10 * max(np.abs(la).max(), np.abs(lb).max()):
+        raise ValueError(
+            f"model {model.name!r}: the steady link needs a Liouvillian affine "
+            f"in theta (defect {defect:.3g} at theta={t3:.6g})"
+        )
+    return l0, l1
+
+
+def steady_expectation_link(model, a, table_points=401, margin_rel=1e-6):
+    """Exact link theta -> tr(A rho_ss(theta)) for a single-parameter model.
+
+    The model's Liouvillian must be affine in theta, L = L0 + theta L1 (true
+    of every built-in and JSON model). rho_ss solves L rho = 0 with its first
+    row replaced by the trace border tr(rho) = 1, batched over thetas; the
+    derivative is the linear response d rho = -S L1 rho, which solves the
+    same bordered system with tr(d rho) = 0. The inverse seeds from a
+    monotone table and runs a safeguarded Newton iteration on all readings
+    at once until |f - a| <= NEWTON_RTOL ||A||; readings not converged after
+    NEWTON_MAX_STEPS raise RuntimeError.
     """
     if model.param_dim != 1:
         raise ValueError("numeric links are single-parameter only")
     a = np.asarray(a, dtype=complex)
+    l0, l1 = _affine_split(model)
     lo, hi = model.param_domain[0]
-    width = hi - lo
-    margin = margin_rel * width
+    margin = margin_rel * (hi - lo)
     grid = np.linspace(lo + margin, hi - margin, int(table_points))
+    trace_row = vectorize(np.eye(model.system_dim))
+    a_row = vectorize(a.T)  # a_row @ vec(rho) = tr(A rho)
+    tol = NEWTON_RTOL * np.linalg.norm(a, 2)  # ||A|| bounds |f|
 
-    def forward_scalar(th):
-        return steady_state_bundle(model, [th]).expectation(a)
+    def liouvillians(th):
+        return l0 + th[:, None, None] * l1
 
-    table = np.array([forward_scalar(th) for th in grid])
+    def solve(lmats):
+        """f and df/dtheta for a stack of Liouvillians."""
+        border = lmats.copy()
+        border[:, 0, :] = trace_row
+        rhs = np.zeros(border.shape[:2] + (1,), dtype=complex)
+        rhs[:, 0] = 1.0
+        rho = np.linalg.solve(border, rhs)
+        rhs = -(l1 @ rho)
+        rhs[:, 0] = 0.0
+        drho = np.linalg.solve(border, rhs)
+        return (rho[..., 0] @ a_row).real, (drho[..., 0] @ a_row).real
+
+    lmats = liouvillians(grid)
+    evals = np.linalg.eigvals(lmats)
+    radius = np.abs(evals).max(axis=1)
+    zero = np.abs(evals) <= 1e-9 * radius[:, None]
+    gap = -np.where(zero, -np.inf, evals.real).max(axis=1)
+    bad = (zero.sum(axis=1) != 1) | (gap <= 1e-9 * radius)
+    if bad.any():
+        raise ValueError(
+            f"model {model.name!r} has no unique gapped steady state at "
+            f"theta={grid[np.argmax(bad)]:.6g}"
+        )
+    table, _ = solve(lmats)
     d = np.diff(table)
     if np.all(d > 0):
         a_sorted, t_sorted = table, grid
@@ -178,37 +230,63 @@ def steady_expectation_link(model, a, table_points=401, margin_rel=1e-6):
     else:
         raise ValueError("steady expectation is not monotone on the domain")
 
+    def evaluate(th):
+        return solve(liouvillians(th))
+
     def forward(th):
         th = np.atleast_1d(np.asarray(th, dtype=float))
-        return np.array([forward_scalar(v) for v in th])
+        if np.any((th <= lo) | (th >= hi)):
+            raise ValueError(
+                f"theta {th.tolist()} outside the domain of model {model.name!r}"
+            )
+        return evaluate(th)[0]
 
     def _invert(avec):
-        avec = np.asarray(avec, dtype=float).ravel()
-        th = np.interp(avec, a_sorted, t_sorted)
-        h = 1e-7 * width
-        for _ in range(3):
-            f = np.array([forward_scalar(v) for v in th])
-            fp = np.array(
-                [
-                    (forward_scalar(v + h) - forward_scalar(v - h)) / (2.0 * h)
-                    for v in th
-                ]
+        y = np.asarray(avec, dtype=float).ravel()
+        if np.any((y < a_sorted[0] - tol) | (y > a_sorted[-1] + tol)):
+            raise ValueError(
+                f"reading outside the link image "
+                f"[{a_sorted[0]:.12g}, {a_sorted[-1]:.12g}]"
             )
-            th = th - (f - avec) / fp
-            th = np.clip(th, lo + margin, hi - margin)
-        return th
-
-    def inverse(avec):
-        return _invert(avec)
+        y = np.clip(y, a_sorted[0], a_sorted[-1])
+        # bracket with f(left) <= y <= f(right); left > right when f falls
+        j = np.clip(np.searchsorted(a_sorted, y) - 1, 0, grid.size - 2)
+        left, right = t_sorted[j], t_sorted[j + 1]
+        th = np.interp(y, a_sorted, t_sorted)
+        todo = np.arange(y.size)
+        for _ in range(NEWTON_MAX_STEPS + 1):
+            f, fp = evaluate(th[todo])
+            r = f - y[todo]
+            past = r > 0  # theta beyond the root along increasing f
+            right[todo] = np.where(past, th[todo], right[todo])
+            left[todo] = np.where(past, left[todo], th[todo])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = th[todo] - r / fp
+            lo_b = np.minimum(left[todo], right[todo])
+            hi_b = np.maximum(left[todo], right[todo])
+            ok = np.isfinite(step) & (step >= lo_b) & (step <= hi_b)
+            done = np.abs(r) <= tol
+            # converged readings keep the Newton step from their last residual
+            bisect = 0.5 * (lo_b + hi_b)
+            th[todo] = np.where(ok, step, np.where(done, th[todo], bisect))
+            todo = todo[~done]
+            if todo.size == 0:
+                return th
+        raise RuntimeError(
+            f"steady link: Newton did not converge for {todo.size} of {y.size} "
+            f"readings in {NEWTON_MAX_STEPS} steps (worst residual "
+            f"{np.abs(r).max():.3g}, tolerance {tol:.3g})"
+        )
 
     def jacobian_inverse(avec):
-        jac = _fd_jacobian(forward, inverse(avec), [width])
-        return np.linalg.inv(jac)
+        _, fp = evaluate(_invert(avec))
+        with np.errstate(divide="ignore"):
+            return np.array([[1.0 / fp[0]]])
 
     return LinkFunction(
         m=1,
         forward=forward,
-        inverse=inverse,
+        inverse=_invert,
         jacobian_inverse=jacobian_inverse,
         domain=((lo + margin, hi - margin),),
         image=((float(a_sorted[0]), float(a_sorted[-1])),),
@@ -319,9 +397,14 @@ class EstimationReport:
     notes: dict
 
 
+def _chi2_ppf(q, dof):
+    """Quantile of the chi-squared law, 2 P^{-1}(dof / 2, q)."""
+    return 2.0 * gammaincinv(dof / 2.0, q)
+
+
 def _chi2_ci(err, dof, alpha=0.05):
-    lo = err * np.sqrt(dof / chi2.ppf(1.0 - alpha / 2.0, dof))
-    hi = err * np.sqrt(dof / chi2.ppf(alpha / 2.0, dof))
+    lo = err * np.sqrt(dof / _chi2_ppf(1.0 - alpha / 2.0, dof))
+    hi = err * np.sqrt(dof / _chi2_ppf(alpha / 2.0, dof))
     return (float(lo), float(hi))
 
 
@@ -331,7 +414,7 @@ def _entropy(seed):
     return [int(s) for s in seed]
 
 
-def mc_dam_error(runs, link, trials, seed):
+def mc_dam_error(runs, link, trials, seed, workers=None):
     """Monte Carlo error of the pointer estimator against the formula.
 
     ``runs`` is one DamRun or, for factorizing multi-parameter setups (one
@@ -339,6 +422,7 @@ def mc_dam_error(runs, link, trials, seed):
     sharing N, T and apparatus. Readings are sampled from the exact pointer
     distributions with per-observable seed substreams; runs with more than 1%
     clamped readings are rejected instead of silently biasing the estimate.
+    ``workers`` sets the process count of the distributions' kernel grids.
     """
     if isinstance(runs, DamRun):
         runs = [runs]
@@ -369,7 +453,8 @@ def mc_dam_error(runs, link, trials, seed):
 
     bundles = [steady_state_bundle(r.model, r.theta) for r in runs]
     dists = [
-        pointer_distribution(r, "exact", bundle=b) for r, b in zip(runs, bundles)
+        pointer_distribution(r, "exact", bundle=b, workers=workers)
+        for r, b in zip(runs, bundles)
     ]
     ent = _entropy(seed)
     qs = np.column_stack(

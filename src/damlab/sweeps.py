@@ -23,6 +23,7 @@ deviation Delta(T) and the predicted column with its leading form
 (2 sigma'^2 / T) sqrt(3 (Re c)^2 + (Im c)^2), c = tr(A S(A rho_ss)).
 """
 
+import csv
 import math
 import time
 from dataclasses import dataclass, field
@@ -136,13 +137,17 @@ def format_cell(v):
 
 
 def write_csv(path, columns, rows, comments=()):
-    """Write rows with %.12g floats and LF endings; no timestamps, ever."""
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(format_cell(c) for c in row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write rows with %.12g floats and LF endings; no timestamps, ever.
+
+    Comment lines go out raw; cells holding a comma are quoted.
+    """
+    cells = [[format_cell(c) for c in row] for row in rows]
+    with open(path, "w", newline="") as fh:
+        for c in comments:
+            fh.write(f"# {c}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(cells)
 
 
 def sweep_csv(result, path):
@@ -189,7 +194,8 @@ def scaling_sweep(scn, workers=None):
     Each sweep point runs ``scn.trials`` Monte Carlo trials seeded from the
     scenario seed and the point index, so the full table is reproducible from
     the scenario file alone. On a T sweep with ``n_over_t`` set, N follows the
-    axis as N = n_over_t * T.
+    axis as N = n_over_t * T. ``workers`` sets the process count of the
+    kernel grids; the table does not depend on it.
     """
     axis = scn.sweep_axis
     if axis is None:
@@ -215,7 +221,9 @@ def scaling_sweep(scn, workers=None):
 
         start = time.perf_counter()
         runs = _point_runs(scn, t, n, theta)
-        report = mc_dam_error(runs, link, scn.trials, [scn.seed, idx])
+        report = mc_dam_error(
+            runs, link, scn.trials, [scn.seed, idx], workers=workers
+        )
         elapsed = (time.perf_counter() - start) * 1e3
         shifts = report.notes.get("mean_shift", [NAN])
         result.rows.append(

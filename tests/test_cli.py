@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 import subprocess
@@ -41,10 +42,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def read_csv(path):
+def csv_rows(path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-    header = lines[0].split(",")
-    return [dict(zip(header, l.split(","))) for l in lines[1:]]
+    return list(csv.reader(lines))
+
+
+def read_csv(path):
+    header, *rows = csv_rows(path)
+    return [dict(zip(header, row)) for row in rows]
 
 
 def test_steady_outputs_match_model(tmp_path, capsys):
@@ -172,6 +177,19 @@ def test_verify_subset_passes_and_reports(tmp_path, capsys):
     # runtime metrics stay volatile: nan in the CSV, real numbers in the JSON
     runtime_rows = [r for r in rows if r["metric"] == "runtime_s"]
     assert runtime_rows and all(r["value"] == "nan" for r in runtime_rows)
+
+
+def test_verify_report_rows_match_header(tmp_path, capsys):
+    # check 7 reports a range threshold such as "in [0.375, 0.625]"
+    cfg = write_cfg(
+        tmp_path, QUICK.format(t=200, extra="[verify]\nchecks = 2, 7\n")
+    )
+    code, _, _ = run_cli(capsys, "verify", "--config", cfg, "--out", tmp_path / "o")
+    assert code == 0
+    header, *rows = csv_rows(tmp_path / "o" / "verify_report.csv")
+    assert rows and all(len(row) == len(header) for row in rows)
+    assert any("," in row[header.index("threshold")] for row in rows)
+    assert all(row[header.index("passed")] == "yes" for row in rows)
 
 
 def test_verify_json_one_object_per_check(tmp_path, capsys):

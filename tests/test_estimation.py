@@ -1,8 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import damlab
+from damlab import estimation
 from damlab.estimation import (
     LinkFunction,
+    _chi2_ci,
+    _chi2_ppf,
     amplitude_damping_pair,
     conventional_povm_error,
     cramer_rao_bound,
@@ -19,6 +31,9 @@ from damlab.estimation import (
 )
 from damlab.models import (
     EXCITED_PROJECTOR,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    LindbladModel,
     gad_model,
     product_gad_model,
     steady_state_bundle,
@@ -76,6 +91,103 @@ def test_steady_expectation_link_on_gad_is_identity():
         assert abs(f[0] - th) <= 1e-9
         assert abs(link.inverse(f)[0] - th) <= 1e-8
     assert abs(link.jacobian_inverse(np.array([0.3]))[0, 0] - 1.0) <= 1e-6
+
+
+    with pytest.raises(ValueError, match="outside the link image"):
+        link.inverse(np.array([1.5]))
+
+
+@st.composite
+def affine_models(draw):
+    """Random one-parameter GKLS model of dim 2-3 with affine rates on (0, 1),
+    and a random Hermitian observable. Entries are quarter-integers."""
+    d = draw(st.integers(2, 3))
+
+    def matrix():
+        re = draw(arrays(np.int8, (d, d), elements=st.integers(-4, 4)))
+        im = draw(arrays(np.int8, (d, d), elements=st.integers(-4, 4)))
+        return (re + 1j * im) / 4.0
+
+    def hermitian():
+        g = matrix()
+        return (g + g.conj().T) / 2.0
+
+    h = hermitian()
+    jumps = []
+    for _ in range(draw(st.integers(1, 3))):
+        const = draw(st.integers(0, 4))
+        slope = draw(st.integers(-const, 4))  # rate >= 0 on [0, 1]
+        jumps.append((matrix(), const / 4.0, slope / 4.0))
+
+    def generator(theta):
+        th = float(theta[0])
+        return h, [(op, c + s * th) for op, c, s in jumps]
+
+    model = LindbladModel(
+        name="random_affine",
+        param_dim=1,
+        system_dim=d,
+        generator=generator,
+        param_domain=((0.0, 1.0),),
+    )
+    return model, hermitian()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(affine_models(), st.floats(0.02, 0.98))
+def test_steady_link_matches_bundle_oracle(model_and_a, theta):
+    model, a = model_and_a
+    try:
+        link = steady_expectation_link(model, a)
+    except ValueError as exc:
+        if "unique gapped steady state" in str(exc) or "not monotone" in str(exc):
+            reject()
+        raise
+
+    def oracle(th):
+        return steady_state_bundle(model, [th]).expectation(a)
+
+    f = link.forward(np.array([theta]))
+    assert abs(f[0] - oracle(theta)) <= 1e-10
+    h = 1e-5
+    slope = (oracle(theta + h) - oracle(theta - h)) / (2.0 * h)
+    jinv = link.jacobian_inverse(f)[0, 0]
+    assert abs(jinv * slope - 1.0) <= 1e-6
+    assert abs(link.inverse(f)[0] - theta) <= 1e-10
+
+
+def qubit_model(name, rates):
+    """Qubit with jumps sigma_-, sigma_+ at rates(theta) on (0, 1)."""
+
+    def generator(theta):
+        down, up = rates(float(theta[0]))
+        return None, [(SIGMA_MINUS, down), (SIGMA_PLUS, up)]
+
+    return LindbladModel(
+        name=name,
+        param_dim=1,
+        system_dim=2,
+        generator=generator,
+        param_domain=((0.0, 1.0),),
+    )
+
+
+def test_steady_link_rejects_non_affine_rates():
+    model = qubit_model("squared_gad", lambda th: (th * th, 1.0 - th))
+    with pytest.raises(ValueError, match="'squared_gad'.*affine"):
+        steady_expectation_link(model, A)
+
+
+def test_steady_link_raises_when_newton_does_not_converge(monkeypatch):
+    # <A> = theta / (theta + 1/2): the table seed alone is not converged
+    link = steady_expectation_link(qubit_model("pumped", lambda th: (th, 0.5)), A)
+    thetas = np.array([0.3123, 0.71])
+    readings = link.forward(thetas)
+    assert np.abs(readings - thetas / (thetas + 0.5)).max() <= 1e-15
+    assert np.abs(link.inverse(readings) - thetas).max() <= 1e-12
+    monkeypatch.setattr(estimation, "NEWTON_MAX_STEPS", 0)
+    with pytest.raises(RuntimeError, match="did not converge for 2 of 2"):
+        link.inverse(readings)
 
 
 def test_estimate_applies_inverse_and_clamps():
@@ -231,6 +343,29 @@ def test_mc_input_validation():
     link2 = identity_link(domain=((0.0, 1.0), (0.0, 1.0)))
     with pytest.raises(ValueError):
         mc_dam_error(runs, link2, 200, 1)
+
+
+def test_chi2_quantiles_match_scipy_stats():
+    from scipy.stats import chi2
+
+    for dof in (1, 2, 7, 100, 1000, 2000, 4000):
+        for q in (0.001, 0.025, 0.5, 0.975):
+            assert _chi2_ppf(q, dof) == pytest.approx(chi2.ppf(q, dof), rel=1e-14)
+    lo, hi = _chi2_ci(0.1, 1000)
+    assert lo == pytest.approx(0.1 * np.sqrt(1000 / chi2.ppf(0.975, 1000)), rel=1e-14)
+    assert hi == pytest.approx(0.1 * np.sqrt(1000 / chi2.ppf(0.025, 1000)), rel=1e-14)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src_root = str(Path(damlab.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src_root + (os.pathsep + path if path else ""))
+    code = "import sys, damlab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_povm_baseline():
