@@ -1,4 +1,4 @@
-"""Compare the compiled kernel extension against the pure numpy fallback.
+"""Time the batched trace kernels.
 
 Workloads mirror the hot path of the pointer-distribution computation: a
 half-plane of (p, p') pairs turned into batched matrix exponentials of the
@@ -6,8 +6,7 @@ coupled generator, contracted with vec(I) and vec(rho_ss). Run as
 
     python3 benchmarks/bench_kernels.py [--pairs 13041] [--repeats 3]
 
-Reports per-backend wall time, per-pair cost, max deviation between the two
-backends, and the speedup.
+Reports the best wall time over the repeats and the cost per pair.
 """
 
 import argparse
@@ -18,11 +17,6 @@ import numpy as np
 from damlab import _kernels_py
 from damlab.models import gad_model, product_gad_model, steady_state_bundle
 from damlab.operators import left_mult, right_mult, vectorize
-
-try:
-    from damlab import _kernels_cy
-except ImportError:
-    _kernels_cy = None
 
 
 def gad_workload(pairs, sigma=0.1, t=200.0, n=1.0):
@@ -54,14 +48,13 @@ def _assemble(bundle, a, pairs, sigma, t, n):
     return base, lin_p, lin_pp, p1, p2, w, v
 
 
-def time_backend(mod, args, repeats):
+def best_time(args, repeats):
     best = float("inf")
-    out = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        out = mod.trace_kernels(*args)
+        _kernels_py.trace_kernels(*args)
         best = min(best, time.perf_counter() - t0)
-    return best, out
+    return best
 
 
 def main():
@@ -73,23 +66,15 @@ def main():
                     help="timing repeats, best-of is reported")
     args = ap.parse_args()
 
-    if _kernels_cy is None:
-        print("compiled extension not importable; timing the fallback only")
-
     cases = [
         ("qubit 4x4 superoperators", gad_workload(args.pairs)),
         ("two-site 16x16 superoperators", product_workload(args.pairs // 4)),
     ]
     for label, work in cases:
         npairs = work[3].size
-        t_py, out_py = time_backend(_kernels_py, work, args.repeats)
+        t = best_time(work, args.repeats)
         print(f"{label}: {npairs} pairs")
-        print(f"  python  {t_py * 1e3:9.1f} ms  ({t_py / npairs * 1e6:7.2f} us/pair)")
-        if _kernels_cy is not None:
-            t_cy, out_cy = time_backend(_kernels_cy, work, args.repeats)
-            dev = float(np.max(np.abs(out_cy - out_py)))
-            print(f"  cython  {t_cy * 1e3:9.1f} ms  ({t_cy / npairs * 1e6:7.2f} us/pair)")
-            print(f"  speedup {t_py / t_cy:5.2f}x   max |cy - py| = {dev:.3g}")
+        print(f"  {t * 1e3:9.1f} ms  ({t / npairs * 1e6:7.2f} us/pair)")
 
 
 if __name__ == "__main__":

@@ -61,8 +61,6 @@ __all__ = [
     "run_checks",
     "report_rows",
     "write_report",
-    "expm_workload",
-    "EXPM_BUDGET",
 ]
 
 # pinned tolerances; loosening any of these is changing what "verified" means
@@ -88,7 +86,6 @@ MULTI_FORMULA_TOL = 1e-10
 MULTI_MC_REL_TOL = 0.07
 BIAS_Z_LIMIT = 3.0
 REDUCTION_TOL = 0.0
-EXPM_BUDGET = 1_000_000
 
 STEADY_THETAS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -590,31 +587,3 @@ def write_report(results, path):
         report_rows(results),
         comments=("verification report; values are dimensionless",),
     )
-
-
-def expm_workload(params, checks=None):
-    """Estimated count of dense matrix exponentials the suite will run.
-
-    Used by the runtime budget guard: grids are the dominant cost, one
-    exponential per momentum pair per exact-kernel evaluation.
-    """
-    selected = set(checks) if checks else set(_CHECK_FUNCS)
-
-    def pairs(points):
-        return points * (points + 1) // 2
-
-    default_pairs = pairs(161)
-    evals = 0
-    if 4 in selected:
-        evals += 1
-    if 5 in selected:
-        evals += len(params.nonadiabatic_ts) + 1
-    if 6 in selected:
-        evals += len(params.scaling_ns)
-    if 7 in selected:
-        evals += 2
-    if 9 in selected:
-        evals += len(params.multi_theta)
-    if 10 in selected:
-        evals += 2 * 3 + 1
-    return evals * default_pairs

@@ -1,28 +1,12 @@
-"""Kernel backend selection: compiled extension when available, numpy otherwise.
+"""The kernel module behind every exact pointer grid.
 
-Set DAMLAB_PURE_PYTHON=1 to force the numpy fallback (useful for parity
-checks and benchmarking).
+``kernels`` is the numpy Pade-13 batch in ``_kernels_py``. Callers reach
+``trace_kernels`` through this module attribute, so a profiler can wrap it
+in one place.
 """
 
-import os
+from . import _kernels_py as kernels
 
 __all__ = ["kernels", "KERNEL_BACKEND"]
 
-
-def _load():
-    forced = os.environ.get("DAMLAB_PURE_PYTHON", "").strip().lower()
-    if forced not in ("", "0", "false"):
-        from . import _kernels_py
-
-        return _kernels_py, "python"
-    try:
-        from . import _kernels_cy
-
-        return _kernels_cy, "cython"
-    except ImportError:
-        from . import _kernels_py
-
-        return _kernels_py, "python"
-
-
-kernels, KERNEL_BACKEND = _load()
+KERNEL_BACKEND = "python"

@@ -18,10 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .acceptance import (
-    EXPM_BUDGET,
     VerifyParams,
+    _random_density,
     apply_overrides,
-    expm_workload,
     run_checks,
     write_report,
 )
@@ -183,21 +182,17 @@ def cmd_dam_distribution(scn, args, out_dir):
     return 0
 
 
-def _sweep_chart(title, xlabel, ylabel):
-    chart = LineChart(title=title, xlabel=xlabel, ylabel=ylabel,
-                      xlog=True, ylog=True)
-    return chart
-
-
 def cmd_scaling(scn, args, out_dir):
     result = scaling_sweep(scn, workers=scn.workers)
     csv_path = out_dir / "scaling.csv"
     sweep_csv(result, csv_path)
     dam = result.series("dam")
-    chart = _sweep_chart(
-        f"estimation error vs {result.axis}, {scn.model_name}",
-        result.axis,
-        "parameter error",
+    chart = LineChart(
+        title=f"estimation error vs {result.axis}, {scn.model_name}",
+        xlabel=result.axis,
+        ylabel="parameter error",
+        xlog=True,
+        ylog=True,
     )
     chart.add("dam (MC)", [r.value for r in dam], [r.empirical for r in dam])
     chart.add("dam (formula)", [r.value for r in dam], [r.predicted for r in dam],
@@ -237,7 +232,8 @@ def cmd_nonadiabaticity(scn, args, out_dir):
     csv_path = out_dir / "nonadiabaticity.csv"
     sweep_csv(result, csv_path)
     rows = result.series("delta")
-    chart = _sweep_chart(f"kernel deviation vs T, {scn.model_name}", "T", "Delta")
+    chart = LineChart(title=f"kernel deviation vs T, {scn.model_name}",
+                      xlabel="T", ylabel="Delta", xlog=True, ylog=True)
     chart.add("exact", [r.value for r in rows], [r.delta for r in rows])
     chart.add("leading 1/T form", [r.value for r in rows],
               [r.predicted for r in rows], dashed=True)
@@ -263,20 +259,13 @@ def cmd_qfi_bound(scn, args, out_dir):
         )
     theta = float(scn.theta[0])
     rng = np.random.default_rng(np.random.SeedSequence([scn.seed, 81]))
-    probes = []
-    for _ in range(20):
-        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        rho = g @ g.conj().T
-        probes.append(rho / np.trace(rho).real)
+    probes = [_random_density(rng, 2) for _ in range(20)]
     single = qfi_output_bound_check(theta, scn.t, probes, copies=1)
     rng = np.random.default_rng(np.random.SeedSequence([scn.seed, 82]))
-    pairs = []
-    for _ in range(5):
-        g1 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        g2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        r1 = g1 @ g1.conj().T
-        r2 = g2 @ g2.conj().T
-        pairs.append(np.kron(r1 / np.trace(r1).real, r2 / np.trace(r2).real))
+    pairs = [
+        np.kron(_random_density(rng, 2), _random_density(rng, 2))
+        for _ in range(5)
+    ]
     double = qfi_output_bound_check(theta, scn.t, pairs, copies=2)
 
     rows = []
@@ -326,13 +315,6 @@ def cmd_verify(scn, args, out_dir):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    workload = expm_workload(params, scn.checks)
-    if workload > EXPM_BUDGET:
-        print(
-            f"warning: estimated workload {workload:.3g} matrix exponentials "
-            f"exceeds the {EXPM_BUDGET:.0e} budget",
-            file=sys.stderr,
-        )
     results = run_checks(params, checks=scn.checks, workers=scn.workers)
     csv_path = out_dir / "verify_report.csv"
     write_report(results, csv_path)

@@ -117,39 +117,20 @@ def lindblad_superoperator(h, jumps=(), tol=1e-10):
     return gen
 
 
-def mat_exp(m, t, method="pade", cond_threshold=1e8):
+def mat_exp(m, t):
     """exp(M t) for a superoperator matrix M and time t >= 0.
 
-    ``method`` is one of:
-        "pade": scaling-and-squaring with Pade approximants (default, robust
-                for non-normal and defective generators);
-        "eig":  eigendecomposition, rejected when the eigenvector matrix has
-                condition number above ``cond_threshold``;
-        "auto": eigendecomposition when well conditioned, Pade otherwise.
-
-    Overflow is reported (OverflowError), never silently clamped.
+    Scaling and squaring with Pade approximants, robust for non-normal and
+    defective generators. Overflow is reported (OverflowError), never
+    silently clamped.
     """
     m = _as_square(m, "superoperator")
     t = float(t)
     if t < 0:
         raise ValueError(f"negative evolution time {t}")
-    if method not in ("pade", "eig", "auto"):
-        raise ValueError(f"unknown method {method!r}")
-    out = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        if method in ("eig", "auto"):
-            evals, vecs = np.linalg.eig(m)
-            cond = np.linalg.cond(vecs)
-            if cond < cond_threshold:
-                out = (vecs * np.exp(evals * t)) @ np.linalg.inv(vecs)
-            elif method == "eig":
-                raise ValueError(
-                    f"eigenbasis condition number {cond:.3g} exceeds {cond_threshold:.3g}"
-                )
-        if out is None:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                out = scipy.linalg.expm(m * t)
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        out = scipy.linalg.expm(m * t)
     if not np.all(np.isfinite(out)):
         raise OverflowError(f"matrix exponential overflowed (t={t}, norm={np.abs(m).max():.3g})")
     return out

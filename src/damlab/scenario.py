@@ -47,6 +47,7 @@ import numpy as np
 from .models import (
     EXCITED_PROJECTOR,
     LindbladModel,
+    _embed,
     gad_model,
     product_gad_model,
 )
@@ -190,13 +191,6 @@ _REGISTERED = {
 }
 
 
-def _embed_site(op, site, sites):
-    out = np.eye(1, dtype=complex)
-    for k in range(sites):
-        out = np.kron(out, op if k == site else np.eye(2, dtype=complex))
-    return out
-
-
 def _resolve_observable(spec, model, named, path):
     spec = spec.strip()
     if spec in named:
@@ -211,7 +205,7 @@ def _resolve_observable(spec, model, named, path):
             sites = round(np.log2(model.system_dim))
             if not 1 <= k <= sites or 2**sites != model.system_dim:
                 _fail(path, f"observable {spec!r}: site out of range")
-            return spec, _embed_site(EXCITED_PROJECTOR, k - 1, sites)
+            return spec, _embed(EXCITED_PROJECTOR.copy(), k - 1, sites)
         if model.system_dim != 2:
             _fail(path, f"observable {spec!r} needs a site index on this model")
         return spec, EXCITED_PROJECTOR.copy()

@@ -38,6 +38,7 @@ from .estimation import (
 )
 from .models import dissipation_coefficient, steady_state_bundle
 from .pointer import DamRun, nonadiabaticity
+from .scenario import scenario_runs
 
 __all__ = [
     "SweepRow",
@@ -170,20 +171,6 @@ def scenario_link(scn):
     return steady_expectation_link(scn.model, scn.observables[0][1])
 
 
-def _point_runs(scn, t, n, theta):
-    return [
-        DamRun(
-            model=scn.model,
-            theta=theta,
-            observable=a,
-            t=t,
-            n=n,
-            apparatus=scn.apparatus,
-        )
-        for _, a in scn.observables
-    ]
-
-
 def _is_integral(v):
     return abs(v - round(v)) < 1e-9
 
@@ -220,7 +207,7 @@ def scaling_sweep(scn, workers=None):
             raise ValueError(f"sweep point {value}: N = {n} below 1")
 
         start = time.perf_counter()
-        runs = _point_runs(scn, t, n, theta)
+        runs = scenario_runs(scn, t=t, n=n, theta=theta)
         report = mc_dam_error(
             runs, link, scn.trials, [scn.seed, idx], workers=workers
         )

@@ -136,6 +136,19 @@ def test_scaling_command_emits_all_series(tmp_path, capsys):
     assert (tmp_path / "o" / "scaling.svg").exists()
 
 
+def test_scaling_on_shipped_driven_demo(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "scaling", "--config", CONFIG_DIR / "driven_demo.ini",
+        "--out", tmp_path,
+    )
+    assert code == 0, err
+    rows = read_csv(tmp_path / "scaling.csv")
+    assert {r["series"] for r in rows} == {"dam", "ideal"}
+    assert [float(r["value"]) for r in rows if r["series"] == "dam"] == [
+        200.0, 400.0, 800.0
+    ]
+
+
 def test_nonadiabaticity_command(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

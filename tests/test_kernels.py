@@ -2,17 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from damlab import _kernels_py
-from damlab.backend import KERNEL_BACKEND
-
-try:
-    from damlab import _kernels_cy
-except ImportError:
-    _kernels_cy = None
-
-needs_cython = pytest.mark.skipif(
-    _kernels_cy is None, reason="compiled kernel backend not built"
-)
+import damlab
+from damlab import _kernels_py, backend
+from damlab.models import EXCITED_PROJECTOR, gad_model
+from damlab.pointer import ApparatusConfig, DamRun, pointer_distribution
 
 
 def random_batch(rng, n, m, scale=1.0):
@@ -108,66 +101,31 @@ def test_trace_kernels_length_mismatch():
         _kernels_py.trace_kernels(base, lin_p, lin_pp, p, pp[:-1], w, v)
 
 
-@needs_cython
-def test_compiled_expm_matches_python():
-    rng = np.random.default_rng(909)
-    for m in (2, 4, 8):
-        for scale in (0.1, 5.0, 40.0):
-            a = random_batch(rng, 9, m, scale)
-            got = _kernels_cy.expm_batch(a)
-            ref = _kernels_py.expm_batch(a)
-            assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+def test_pointer_grids_call_the_backend_kernels_attribute(monkeypatch):
+    # profilers wrap backend.kernels.trace_kernels; every exact grid must
+    # reach the numpy kernels through that attribute
+    assert damlab.KERNEL_BACKEND == "python"
+    assert backend.kernels is _kernels_py
+    seen = []
+    original = _kernels_py.trace_kernels
 
+    def spy(base, lin_p, lin_pp, p, pp, w, v):
+        seen.append((np.array(p), np.array(pp)))
+        return original(base, lin_p, lin_pp, p, pp, w, v)
 
-@needs_cython
-def test_compiled_trace_kernels_match_python():
-    rng = np.random.default_rng(411)
-    args = _kernel_inputs(rng, n=50)
-    got = _kernels_cy.trace_kernels(*args)
-    ref = _kernels_py.trace_kernels(*args)
-    assert np.abs(got - ref).max() <= 1e-11 * max(1.0, np.abs(ref).max())
-
-
-@needs_cython
-def test_compiled_split_invariance_is_bitwise():
-    rng = np.random.default_rng(13)
-    base, lin_p, lin_pp, p, pp, w, v = _kernel_inputs(rng, n=60)
-    whole = _kernels_cy.trace_kernels(base, lin_p, lin_pp, p, pp, w, v)
-    parts = np.concatenate(
-        [
-            _kernels_cy.trace_kernels(base, lin_p, lin_pp, p[:29], pp[:29], w, v),
-            _kernels_cy.trace_kernels(base, lin_p, lin_pp, p[29:], pp[29:], w, v),
-        ]
+    monkeypatch.setattr(backend.kernels, "trace_kernels", spy)
+    k = 31
+    app = ApparatusConfig(
+        sigma=0.1, p_halfwidth=30.0, p_points=k, q_halfwidth=0.8, q_points=256
     )
-    assert np.array_equal(whole, parts)
-
-
-def test_backend_selection_reports_a_backend():
-    assert KERNEL_BACKEND in ("cython", "python")
-
-
-def test_pure_python_env_forces_numpy_backend():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import damlab
-
-    # The child must import the same damlab as this process, installed or not.
-    src_root = str(Path(damlab.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    env = dict(
-        os.environ,
-        DAMLAB_PURE_PYTHON="1",
-        PYTHONPATH=src_root + (os.pathsep + path if path else ""),
-    )
-    code = "import damlab.backend as b; print(b.KERNEL_BACKEND)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "python"
+    run = DamRun(gad_model(), [0.3], EXCITED_PROJECTOR, t=200.0, n=1.0, apparatus=app)
+    pointer_distribution(run, "exact")
+    assert len(seen) == 1
+    grid = app.p_grid()
+    want = {(i, j) for i in range(k) for j in range(i + 1)}
+    got = [
+        (int(np.flatnonzero(grid == a)[0]), int(np.flatnonzero(grid == b)[0]))
+        for a, b in zip(*seen[0])
+    ]
+    assert len(got) == len(want)
+    assert set(got) == want

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from damlab.operators import (
     devectorize,
@@ -151,20 +150,6 @@ def test_mat_exp_gad_converges_to_steady_state():
     rho0 = random_density(rng, 2)
     out = mat_exp(gen, 60.0) @ vectorize(rho0)
     assert np.abs(devectorize(out) - np.diag([theta, 1 - theta])).max() <= 1e-10
-
-
-def test_mat_exp_eig_path_matches_pade():
-    gen = lindblad_superoperator(None, gad_jumps(0.4))
-    assert np.abs(mat_exp(gen, 2.0, method="eig") - mat_exp(gen, 2.0)).max() <= 1e-11
-    assert np.abs(mat_exp(gen, 2.0, method="auto") - mat_exp(gen, 2.0)).max() <= 1e-11
-
-
-def test_mat_exp_eig_path_rejects_defective_matrix():
-    jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(ValueError):
-        mat_exp(jordan, 1.0, method="eig")
-    # "auto" silently falls back to the Pade route
-    assert np.allclose(mat_exp(jordan, 1.0, method="auto"), scipy.linalg.expm(jordan))
 
 
 def test_mat_exp_overflow_is_reported():
