@@ -1,8 +1,12 @@
-"""Time the batched trace kernels.
+"""Time the batched trace kernels and the exact kernel grids.
 
-Workloads mirror the hot path of the pointer-distribution computation: a
-half-plane of (p, p') pairs turned into batched matrix exponentials of the
-coupled generator, contracted with vec(I) and vec(rho_ss). Run as
+The dense rows mirror the unreduced hot path of the pointer-distribution
+computation: a half-plane of (p, p') pairs turned into batched matrix
+exponentials of the full coupled generator, contracted with vec(I) and
+vec(rho_ss). The grid rows time one full 161-point half-plane through
+pointer._grid_kernels, which first cuts the generator to its minimal
+realization; they print the reduced dimension and whether the grid needed
+one kernel per offset x = p - p' only. Run as
 
     python3 benchmarks/bench_kernels.py [--pairs 13041] [--repeats 3]
 
@@ -16,43 +20,37 @@ import numpy as np
 
 from damlab import _kernels_py
 from damlab.models import gad_model, product_gad_model, steady_state_bundle
-from damlab.operators import left_mult, right_mult, vectorize
+from damlab.pointer import (
+    DamRun,
+    _generator_terms,
+    _grid_kernels,
+    _half_plane,
+    _minimal_realization,
+    default_apparatus,
+)
+
+EXCITED = np.diag([1.0, 0.0]).astype(complex)
+CASES = (
+    ("qubit", gad_model(), [0.3], EXCITED),
+    ("two-site", product_gad_model(2), [0.3, 0.6], np.kron(EXCITED, np.eye(2))),
+)
 
 
-def gad_workload(pairs, sigma=0.1, t=200.0, n=1.0):
-    model = gad_model()
-    bundle = steady_state_bundle(model, np.array([0.3]))
-    a = np.diag([1.0, 0.0]).astype(complex)
-    return _assemble(bundle, a, pairs, sigma, t, n)
-
-
-def product_workload(pairs, sigma=0.1, t=200.0, n=1.0):
-    model = product_gad_model(2)
-    bundle = steady_state_bundle(model, np.array([0.3, 0.6]))
-    single = np.diag([1.0, 0.0]).astype(complex)
-    a = np.kron(single, np.eye(2, dtype=complex))
-    return _assemble(bundle, a, pairs, sigma, t, n)
-
-
-def _assemble(bundle, a, pairs, sigma, t, n):
-    sigma_p = 1.0 / (2.0 * sigma)
-    half = 6.0 * sigma_p
+def dense_workload(run, bundle, pairs):
+    """The full generator at uniformly drawn (p, p') pairs of the grid's span."""
+    base, lin_p, lin_pp, w, v = _generator_terms(run, bundle)
+    half = run.apparatus.p_halfwidth
     rng = np.random.default_rng(2026)
     p1 = rng.uniform(-half, half, size=pairs)
     p2 = rng.uniform(-half, half, size=pairs)
-    base = bundle.liouvillian * (n * t)
-    lin_p = -1j * n * left_mult(a)
-    lin_pp = 1j * n * right_mult(a)
-    w = vectorize(np.eye(bundle.dim))
-    v = vectorize(bundle.rho_ss)
     return base, lin_p, lin_pp, p1, p2, w, v
 
 
-def best_time(args, repeats):
+def best_time(fun, repeats):
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        _kernels_py.trace_kernels(*args)
+        fun()
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -60,21 +58,31 @@ def best_time(args, repeats):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pairs", type=int, default=13041,
-                    help="number of (p, p') pairs per workload (default: one "
-                         "full 161-point half-plane)")
+                    help="number of (p, p') pairs per dense workload (default: "
+                         "one full 161-point half-plane)")
     ap.add_argument("--repeats", type=int, default=3,
                     help="timing repeats, best-of is reported")
     args = ap.parse_args()
 
-    cases = [
-        ("qubit 4x4 superoperators", gad_workload(args.pairs)),
-        ("two-site 16x16 superoperators", product_workload(args.pairs // 4)),
-    ]
-    for label, work in cases:
-        npairs = work[3].size
-        t = best_time(work, args.repeats)
-        print(f"{label}: {npairs} pairs")
-        print(f"  {t * 1e3:9.1f} ms  ({t / npairs * 1e6:7.2f} us/pair)")
+    app = default_apparatus(0.1)
+    p = app.p_grid()
+    idx_i, idx_k = _half_plane(app)
+    p1, p2 = p[idx_i], p[idx_i - idx_k]
+    for (label, model, theta, a), pairs in zip(CASES, (args.pairs, args.pairs // 4)):
+        run = DamRun(model, theta, a, t=200.0, n=1.0, apparatus=app)
+        bundle = steady_state_bundle(model, run.theta)
+        work = dense_workload(run, bundle, pairs)
+        m = work[0].shape[0]
+        t = best_time(lambda: _kernels_py.trace_kernels(*work), args.repeats)
+        print(f"{label} dense {m}x{m} superoperators: {pairs} pairs")
+        print(f"  {t * 1e3:9.1f} ms  ({t / pairs * 1e6:7.2f} us/pair)")
+
+        mats, x_only = _minimal_realization(*_generator_terms(run, bundle))
+        t = best_time(lambda: _grid_kernels(run, bundle, p1, p2, idx_k), args.repeats)
+        exps = p.size if x_only else idx_i.size
+        print(f"{label} grid, {idx_i.size} pairs in {exps} exponentials: "
+              f"reduced dimension {m} -> {mats[0].shape[0]}, x-only {x_only}")
+        print(f"  {t * 1e3:9.1f} ms  ({t / idx_i.size * 1e6:7.2f} us/pair)")
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ __all__ = [
     "Estimate",
     "EstimationReport",
     "identity_link",
-    "table_link",
     "steady_expectation_link",
     "dam_estimate",
     "dam_error_formula",
@@ -85,69 +84,6 @@ def identity_link(domain=((0.0, 1.0),)):
         domain=domain,
         image=domain,
         inverse_batch=lambda rows: np.asarray(rows, dtype=float).copy(),
-    )
-
-
-def _fd_jacobian(fun, theta, widths, rel_step=1e-5):
-    """Central-difference Jacobian with one Richardson refinement."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    m = theta.size
-    steps = np.asarray(widths, dtype=float) * rel_step
-
-    def diff(h):
-        cols = []
-        for i in range(m):
-            e = np.zeros(m)
-            e[i] = h[i]
-            hi = np.atleast_1d(np.asarray(fun(theta + e), dtype=float))
-            lo = np.atleast_1d(np.asarray(fun(theta - e), dtype=float))
-            cols.append((hi - lo) / (2.0 * h[i]))
-        return np.stack(cols, axis=1)
-
-    d1 = diff(steps)
-    d2 = diff(steps / 2.0)
-    return (4.0 * d2 - d1) / 3.0
-
-
-def table_link(thetas, avals):
-    """Single-parameter link from a monotone (theta, expectation) table."""
-    thetas = np.asarray(thetas, dtype=float)
-    avals = np.asarray(avals, dtype=float)
-    if thetas.ndim != 1 or thetas.size < 2 or thetas.shape != avals.shape:
-        raise ValueError("need matching 1-D tables with at least two rows")
-    if np.any(np.diff(thetas) <= 0):
-        raise ValueError("theta table must be strictly increasing")
-    d = np.diff(avals)
-    if np.all(d > 0):
-        a_sorted, t_sorted = avals, thetas
-    elif np.all(d < 0):
-        a_sorted, t_sorted = avals[::-1], thetas[::-1]
-    else:
-        raise ValueError("expectation table must be strictly monotone")
-    domain = ((float(thetas[0]), float(thetas[-1])),)
-    image = ((float(a_sorted[0]), float(a_sorted[-1])),)
-    width = thetas[-1] - thetas[0]
-
-    def forward(th):
-        return np.atleast_1d(np.interp(np.asarray(th, dtype=float), thetas, avals))
-
-    def inverse(a):
-        return np.atleast_1d(np.interp(np.asarray(a, dtype=float), a_sorted, t_sorted))
-
-    def jacobian_inverse(a):
-        jac = _fd_jacobian(forward, inverse(a), [width])
-        return np.linalg.inv(jac)
-
-    return LinkFunction(
-        m=1,
-        forward=forward,
-        inverse=inverse,
-        jacobian_inverse=jacobian_inverse,
-        domain=domain,
-        image=image,
-        inverse_batch=lambda rows: np.interp(
-            np.asarray(rows, dtype=float).ravel(), a_sorted, t_sorted
-        ).reshape(-1, 1),
     )
 
 

@@ -17,7 +17,10 @@ characteristic function
 
 K is evaluated on the half plane p >= p' only (x = p - p' a grid multiple);
 the other half follows from the conjugation identity K(p', p) = conj K(p, p').
-The final transform is a direct Fourier sum onto the q grid.
+Grids exponentiate the generator on its minimal realization: the subspace
+reachable from vec(rho_ss) and observable from vec(I). Where A X = X A on
+that subspace, K depends on x alone and a grid needs one exponential per
+offset. The final transform is a direct Fourier sum onto the q grid.
 """
 
 import math
@@ -46,6 +49,7 @@ __all__ = [
 TAIL_MASS_LIMIT = 1e-8
 NORMALIZATION_LIMIT = 1e-4
 NEGATIVE_DENSITY_LIMIT = -1e-8
+REDUCTION_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -201,14 +205,83 @@ def _check_tail(app):
         )
 
 
-def _grid_kernels(run, bundle, p1, p2, workers=None):
-    """Exact kernels for pair arrays, via the batched backend."""
+def _invariant_basis(start, generators):
+    """Orthonormal columns spanning the smallest subspace that contains
+    ``start`` and is invariant under every generator.
+
+    Block Krylov with two-pass Gram-Schmidt: a new direction is kept when its
+    residual exceeds REDUCTION_RTOL times its generator's Frobenius norm.
+    """
+    m = start.size
+    basis = [start / np.linalg.norm(start)]
+    floors = [REDUCTION_RTOL * np.linalg.norm(g) for g in generators]
+    j = 0
+    while j < len(basis):
+        for g, floor in zip(generators, floors):
+            y = g @ basis[j]
+            q = np.array(basis)
+            for _ in range(2):
+                y = y - (q.conj() @ y) @ q
+            norm = np.linalg.norm(y)
+            if norm > floor and len(basis) < m:
+                basis.append(y / norm)
+        j += 1
+    return np.array(basis).T
+
+
+def _generator_terms(run, bundle):
+    """(base, lin_p, lin_pp, w, v) of the kernel
+    K(p, pp) = w . exp(base + p lin_p + pp lin_pp) . v."""
     a = run.observable
-    base = bundle.liouvillian * (run.n * run.t)
-    lin_p = -1j * run.n * left_mult(a)
-    lin_pp = 1j * run.n * right_mult(a)
-    w = vectorize(np.eye(bundle.dim))
-    v = vectorize(bundle.rho_ss)
+    return (
+        bundle.liouvillian * (run.n * run.t),
+        -1j * run.n * left_mult(a),
+        1j * run.n * right_mult(a),
+        vectorize(np.eye(bundle.dim)),
+        vectorize(bundle.rho_ss),
+    )
+
+
+def _minimal_realization(base, lin_p, lin_pp, w, v):
+    """Cut K = w . exp(base + p lin_p + pp lin_pp) . v to its minimal state space.
+
+    Projects every matrix onto the part of the space that is reachable from v
+    and observable from w (Kalman's minimal realization). Returns the
+    (base, lin_p, lin_pp, w, v) to pass to ``trace_kernels`` and whether
+    lin_p + lin_pp vanishes there, in which case K depends on p - pp alone.
+    When nothing reduces, the original matrices are returned unchanged.
+    """
+    gens = (base, lin_p, lin_pp)
+    reach = _invariant_basis(v, gens)
+    projected = [reach.conj().T @ g @ reach for g in gens]
+    observe = _invariant_basis((w @ reach).conj(), [g.conj().T for g in projected])
+    basis = reach @ observe
+    if basis.shape[1] == v.size:
+        reduced = (base, lin_p, lin_pp, w, v)
+    else:
+        reduced = tuple(basis.conj().T @ g @ basis for g in gens)
+        reduced += (w @ basis, basis.conj().T @ v)
+    drift = np.linalg.norm(reduced[1] + reduced[2])
+    return reduced, bool(drift <= REDUCTION_RTOL * np.linalg.norm(lin_p))
+
+
+def _grid_kernels(run, bundle, p1, p2, idx_k, workers=None):
+    """Exact kernels at the half-plane pairs (p1, p2), p1 - p2 = idx_k dp.
+
+    The coupled generator is cut to its minimal realization first. When the
+    kernel depends on x = p - p' alone, one kernel per grid offset k is
+    computed at x = k dp and scattered with idx_k.
+    """
+    mats, x_only = _minimal_realization(*_generator_terms(run, bundle))
+    if x_only:
+        p = run.apparatus.p_grid()
+        x = (p[1] - p[0]) * np.arange(p.size)
+        return _batched_kernels(mats, x, np.zeros_like(x), workers)[idx_k]
+    return _batched_kernels(mats, p1, p2, workers)
+
+
+def _batched_kernels(mats, p1, p2, workers):
+    base, lin_p, lin_pp, w, v = mats
     if workers is not None and workers > 1 and p1.size >= 4 * workers:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -287,7 +360,7 @@ def pointer_distribution(run, kernel_source="exact", bundle=None, workers=None):
     mean_a = b.expectation(run.observable)
 
     if kernel_source == "exact":
-        kv = _grid_kernels(run, b, p1, p2, workers=workers)
+        kv = _grid_kernels(run, b, p1, p2, idx_k, workers=workers)
     elif kernel_source == "perturbative":
         kv = perturbative_kernel(run, p1, p2, bundle=b)
     else:
@@ -366,7 +439,7 @@ def nonadiabaticity(run, bundle=None, workers=None):
     p1 = p[idx_i]
     p2 = p[idx_i - idx_k]
     mean_a = b.expectation(run.observable)
-    kv = _grid_kernels(run, b, p1, p2, workers=workers)
+    kv = _grid_kernels(run, b, p1, p2, idx_k, workers=workers)
     dev2 = np.abs(kv - np.exp(-1j * (p1 - p2) * mean_a)) ** 2
     w2 = _phi(app, p) ** 2 * dp
     mult = np.where(idx_k == 0, 1.0, 2.0)

@@ -27,7 +27,6 @@ from damlab.estimation import (
     qfi_output_bound_check,
     qfi_state,
     steady_expectation_link,
-    table_link,
 )
 from damlab.models import (
     EXCITED_PROJECTOR,
@@ -68,20 +67,6 @@ def test_identity_link_roundtrip():
     assert np.array_equal(link.jacobian_inverse(np.array([0.4])), np.eye(1))
     rows = np.array([[0.1], [0.5], [0.9]])
     assert np.array_equal(link.inverse_batch(rows), rows)
-
-
-def test_table_link_roundtrip():
-    thetas = np.linspace(0.0, 1.0, 101)
-    link = table_link(thetas, 2.0 - thetas)  # decreasing
-    for th in (0.1, 0.33, 0.91):
-        back = link.inverse(link.forward(th))
-        assert abs(back[0] - th) <= 1e-8
-    jac = link.jacobian_inverse(np.array([1.5]))
-    assert abs(jac[0, 0] + 1.0) <= 1e-6
-    with pytest.raises(ValueError):
-        table_link(thetas, np.sin(6 * thetas))
-    with pytest.raises(ValueError):
-        table_link(thetas[::-1], thetas)
 
 
 def test_steady_expectation_link_on_gad_is_identity():

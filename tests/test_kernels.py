@@ -7,6 +7,8 @@ from damlab import _kernels_py, backend
 from damlab.models import EXCITED_PROJECTOR, gad_model
 from damlab.pointer import ApparatusConfig, DamRun, pointer_distribution
 
+from test_pointer import A_TILTED, driven_model
+
 
 def random_batch(rng, n, m, scale=1.0):
     a = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
@@ -110,22 +112,35 @@ def test_pointer_grids_call_the_backend_kernels_attribute(monkeypatch):
     original = _kernels_py.trace_kernels
 
     def spy(base, lin_p, lin_pp, p, pp, w, v):
-        seen.append((np.array(p), np.array(pp)))
+        seen.append((np.array(base), np.array(p), np.array(pp)))
         return original(base, lin_p, lin_pp, p, pp, w, v)
 
     monkeypatch.setattr(backend.kernels, "trace_kernels", spy)
-    k = 31
     app = ApparatusConfig(
-        sigma=0.1, p_halfwidth=30.0, p_points=k, q_halfwidth=0.8, q_points=256
+        sigma=0.1, p_halfwidth=30.0, p_points=31, q_halfwidth=0.8, q_points=256
     )
+    grid = app.p_grid()
+
+    # population dynamics: a 2-dim realization, one kernel per offset x = k dp
     run = DamRun(gad_model(), [0.3], EXCITED_PROJECTOR, t=200.0, n=1.0, apparatus=app)
     pointer_distribution(run, "exact")
     assert len(seen) == 1
-    grid = app.p_grid()
-    want = {(i, j) for i in range(k) for j in range(i + 1)}
+    base, p, pp = seen.pop()
+    assert base.shape == (2, 2)
+    assert np.array_equal(p, (grid[1] - grid[0]) * np.arange(31))
+    assert np.all(pp == 0)
+
+    # a driven qubit read off-diagonally does not reduce: all 496 half-plane
+    # pairs on the full 4x4 superoperator
+    run = DamRun(driven_model(), [0.3], A_TILTED, t=200.0, n=1.0, apparatus=app)
+    pointer_distribution(run, "exact")
+    assert len(seen) == 1
+    base, p, pp = seen.pop()
+    assert base.shape == (4, 4)
+    want = {(i, j) for i in range(31) for j in range(i + 1)}
     got = [
         (int(np.flatnonzero(grid == a)[0]), int(np.flatnonzero(grid == b)[0]))
-        for a, b in zip(*seen[0])
+        for a, b in zip(p, pp)
     ]
     assert len(got) == len(want)
     assert set(got) == want

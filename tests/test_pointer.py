@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from damlab.backend import kernels
 from damlab.models import (
     EXCITED_PROJECTOR,
     LindbladModel,
@@ -11,6 +15,10 @@ from damlab.models import (
 from damlab.pointer import (
     ApparatusConfig,
     DamRun,
+    _generator_terms,
+    _grid_kernels,
+    _half_plane,
+    _minimal_realization,
     coupled_generator,
     default_apparatus,
     nonadiabaticity,
@@ -355,6 +363,86 @@ def test_worker_pool_is_bitwise_equivalent():
     assert np.array_equal(serial.density, pooled.density)
     assert np.array_equal(serial.q_grid, pooled.q_grid)
     assert serial.mean == pooled.mean and serial.variance == pooled.variance
+
+
+@st.composite
+def random_runs(draw):
+    """Random GKLS run of dimension 2-4 with quarter-integer entries.
+
+    A population model has a diagonal H, a jump |i><j| between every pair of
+    levels and a diagonal A with A[0, 0] != A[1, 1], so its kernels depend on
+    p - p' alone. A driven model has a random H with a drive between levels
+    0 and 1, one to three random jumps, and a random Hermitian A with
+    A[0, 1] != 0.
+    """
+    d = draw(st.integers(2, 4))
+    population = draw(st.booleans())
+
+    def matrix():
+        re = draw(arrays(np.int8, (d, d), elements=st.integers(-4, 4)))
+        im = draw(arrays(np.int8, (d, d), elements=st.integers(-4, 4)))
+        return (re + 1j * im) / 4.0
+
+    def hermitian():
+        g = matrix()
+        return (g + g.conj().T) / 2.0
+
+    if population:
+        h = np.diag(np.diag(hermitian()))
+        jumps = []
+        for i in range(d):
+            for j in range(d):
+                if i != j:
+                    op = np.zeros((d, d), dtype=complex)
+                    op[i, j] = 1.0
+                    jumps.append((op, draw(st.integers(1, 4)) / 4.0))
+        a = np.diag(np.diag(hermitian()))
+        a[1, 1] = a[0, 0] + draw(st.integers(1, 4)) / 4.0
+    else:
+        h = hermitian()
+        h[0, 1] = h[1, 0] = draw(st.integers(1, 4)) / 4.0
+        jumps = [(matrix(), draw(st.integers(1, 4)) / 4.0)
+                 for _ in range(draw(st.integers(1, 3)))]
+        a = hermitian()
+        a[0, 1] = a[1, 0] = draw(st.integers(1, 4)) / 4.0
+
+    model = LindbladModel(
+        name="random",
+        param_dim=1,
+        system_dim=d,
+        generator=lambda theta: (h, jumps),
+        param_domain=((0.0, 1.0),),
+    )
+    app = ApparatusConfig(
+        sigma=0.1, p_halfwidth=3.0, p_points=9, q_halfwidth=1.0, q_points=16
+    )
+    t = draw(st.sampled_from((5.0, 20.0)))
+    run = DamRun(model, [0.5], a, t=t, n=draw(st.integers(1, 2)), apparatus=app)
+    return run, population
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(random_runs())
+def test_reduced_grid_matches_dense_oracle(run_and_kind):
+    run, population = run_and_kind
+    try:
+        b = steady_state_bundle(run.model, run.theta)
+    except ValueError:
+        reject()
+    app = run.apparatus
+    p = app.p_grid()
+    idx_i, idx_k = _half_plane(app)
+    p1, p2 = p[idx_i], p[idx_i - idx_k]
+    kv = _grid_kernels(run, b, p1, p2, idx_k)
+    oracle = np.array([trace_kernel(run, x, y, bundle=b) for x, y in zip(p1, p2)])
+    assert np.abs(kv - oracle).max() <= 1e-12
+
+    base, lin_p, lin_pp, w, v = _generator_terms(run, b)
+    mats, x_only = _minimal_realization(base, lin_p, lin_pp, w, v)
+    assert x_only == population
+    if mats[0].shape == base.shape:
+        dense = kernels.trace_kernels(base, lin_p, lin_pp, p1, p2, w, v)
+        assert np.array_equal(kv, dense)
 
 
 def test_nonadiabaticity_halves_with_t():
