@@ -2,8 +2,9 @@
 
 exp(A) uses scaling and squaring with the degree-13 Pade approximant
 (Higham, SIAM J. Matrix Anal. Appl. 26, 2005). The squaring count is chosen
-per matrix, not per batch, so a result never depends on how the surrounding
-grid was chunked across workers.
+per matrix, not per batch, so a kernel never depends on which of
+``trace_kernels``' memory-bounded chunks its pair falls in, or on which other
+pairs share that chunk.
 """
 
 import numpy as np

@@ -17,9 +17,8 @@ pinned tolerances (module constants, deliberately not configurable):
 Operating points (theta, sigma, T grids, trial counts, seed) live in
 VerifyParams and may be overridden from a scenario's [verify] section; that
 is how the tamper test drives a check into honest failure. Metric values
-written to the report CSV are deterministic for a fixed seed and worker
-count independent (runtimes are reported as nan there and appear only in the
-JSON/console output).
+written to the report CSV are deterministic for a fixed seed (runtimes are
+reported as nan there and appear only in the JSON/console output).
 """
 
 import hashlib
@@ -199,7 +198,7 @@ def _bias_z(theta_hat, theta_true, per_component_error, trials):
     return float((dev / scale).max())
 
 
-def _check_conventional_baseline(p, workers):
+def _check_conventional_baseline(p):
     rep = conventional_povm_error(p.theta, p.povm_n, p.povm_trials, [p.seed, 1])
     rel = abs(rep.empirical_error / rep.predicted_error - 1.0)
     z = _bias_z(rep.theta_hat, p.theta, rep.empirical_error, p.povm_trials)
@@ -209,7 +208,7 @@ def _check_conventional_baseline(p, workers):
     ]
 
 
-def _check_steady_state_gap(p, workers):
+def _check_steady_state_gap(p):
     model = gad_model()
     worst_rho = 0.0
     worst_gap = 0.0
@@ -224,7 +223,7 @@ def _check_steady_state_gap(p, workers):
     ]
 
 
-def _check_pseudoinverse_closed_form(p, workers):
+def _check_pseudoinverse_closed_form(p):
     model = gad_model()
     bundle = steady_state_bundle(model, [p.theta])
     rng = np.random.default_rng(np.random.SeedSequence([p.seed, 3]))
@@ -243,7 +242,7 @@ def _check_pseudoinverse_closed_form(p, workers):
     ]
 
 
-def _check_pointer_moments(p, workers):
+def _check_pointer_moments(p):
     model = gad_model()
     run = DamRun(
         model=model,
@@ -253,7 +252,7 @@ def _check_pointer_moments(p, workers):
         n=1.0,
         apparatus=default_apparatus(p.sigma),
     )
-    dist = pointer_distribution(run, "exact", workers=workers)
+    dist = pointer_distribution(run, "exact")
     var_target = p.sigma**2 + 2.0 * p.theta * (1.0 - p.theta) / p.pointer_t
     return [
         _le("mean_defect", abs(dist.mean - p.theta), POINTER_MEAN_TOL),
@@ -265,7 +264,7 @@ def _check_pointer_moments(p, workers):
     ]
 
 
-def _check_nonadiabaticity_scaling(p, workers):
+def _check_nonadiabaticity_scaling(p):
     model = gad_model()
     bundle = steady_state_bundle(model, [p.theta])
     app = default_apparatus(p.nonadiabatic_sigma)
@@ -279,7 +278,7 @@ def _check_nonadiabaticity_scaling(p, workers):
             n=1.0,
             apparatus=app,
         )
-        return nonadiabaticity(run, bundle=bundle, workers=workers)
+        return nonadiabaticity(run, bundle=bundle)
 
     deltas = [delta(t) for t in p.nonadiabatic_ts]
     metrics = []
@@ -294,7 +293,7 @@ def _check_nonadiabaticity_scaling(p, workers):
     return metrics
 
 
-def _check_heisenberg_scaling(p, workers):
+def _check_heisenberg_scaling(p):
     model = gad_model()
     link = identity_link()
     app = default_apparatus(p.scaling_sigma)
@@ -331,14 +330,14 @@ def _check_heisenberg_scaling(p, workers):
     ]
 
 
-def _tv_distance(run, workers):
+def _tv_distance(run):
     bundle = steady_state_bundle(run.model, run.theta)
-    exact = pointer_distribution(run, "exact", bundle=bundle, workers=workers)
+    exact = pointer_distribution(run, "exact", bundle=bundle)
     pert = pointer_distribution(run, "perturbative", bundle=bundle)
     return 0.5 * float(np.abs(exact.density - pert.density).sum() * exact.dq)
 
 
-def _check_perturbative_kernel(p, workers):
+def _check_perturbative_kernel(p):
     model = gad_model()
 
     def run_at(t):
@@ -351,15 +350,15 @@ def _check_perturbative_kernel(p, workers):
             apparatus=default_apparatus(p.sigma),
         )
 
-    tv = _tv_distance(run_at(p.pert_t), workers)
-    tv_doubled = _tv_distance(run_at(2.0 * p.pert_t), workers)
+    tv = _tv_distance(run_at(p.pert_t))
+    tv_doubled = _tv_distance(run_at(2.0 * p.pert_t))
     return [
         _le("total_variation", tv, PERT_TV_LIMIT),
         _in("doubling_ratio", tv / tv_doubled, PERT_RATIO_RANGE),
     ]
 
 
-def _check_qfi_suite(p, workers):
+def _check_qfi_suite(p):
     drho = np.diag([1.0, -1.0]).astype(complex)
     worst_f = 0.0
     for th in p.qfi_thetas:
@@ -391,7 +390,7 @@ def _check_qfi_suite(p, workers):
     ]
 
 
-def _check_multiparameter(p, workers):
+def _check_multiparameter(p):
     model = gad_model()
     app = default_apparatus(p.multi_sigma)
     link1 = identity_link()
@@ -456,7 +455,6 @@ def _builtin_scenario(model, theta, sigma, t, seed, sweep_axis, sweep_values):
         n_over_t=None,
         trials=200,
         seed=int(seed),
-        workers=None,
         sweep_axis=sweep_axis,
         sweep_values=tuple(float(v) for v in sweep_values),
         out_dir="out",
@@ -465,7 +463,7 @@ def _builtin_scenario(model, theta, sigma, t, seed, sweep_axis, sweep_values):
     )
 
 
-def _check_determinism_reduction(p, workers):
+def _check_determinism_reduction(p):
     model = gad_model()
     bundle = steady_state_bundle(model, [p.theta])
     link = identity_link()
@@ -482,8 +480,8 @@ def _check_determinism_reduction(p, workers):
     )
     blobs = []
     with tempfile.TemporaryDirectory() as tmp:
-        for k, w in enumerate((1, 1, 2)):
-            result = nonadiabaticity_sweep(scn, workers=w)
+        for k in range(3):
+            result = nonadiabaticity_sweep(scn)
             path = Path(tmp) / f"sweep_{k}.csv"
             sweep_csv(result, path)
             blobs.append(path.read_bytes())
@@ -524,7 +522,7 @@ _CHECK_FUNCS = {
 _RUNTIME_LIMITS = {1: POVM_RUNTIME_S, 4: POINTER_RUNTIME_S}
 
 
-def run_checks(params, checks=None, workers=None):
+def run_checks(params, checks=None):
     """Run the selected checks (all by default) and collect their reports."""
     selected = sorted(checks) if checks else sorted(_CHECK_FUNCS)
     results = []
@@ -533,7 +531,7 @@ def run_checks(params, checks=None, workers=None):
             raise ValueError(f"unknown check number {num}")
         start = time.perf_counter()
         try:
-            metrics = _CHECK_FUNCS[num](params, workers)
+            metrics = _CHECK_FUNCS[num](params)
             error = ""
         except Exception as exc:  # honest failure, not a crash of the suite
             metrics = []

@@ -1,7 +1,6 @@
 """damlab command line: scenario-driven sweeps, reports and figures.
 
-    damlab <command> --config <file> [--seed <u64>] [--out <dir>]
-                     [--json] [--workers <n>]
+    damlab <command> --config <file> [--seed <u64>] [--out <dir>] [--json]
 
 Commands: steady, dam-distribution, scaling, nonadiabaticity, qfi-bound,
 verify. Every command reads one scenario file, writes CSV (and SVG where a
@@ -64,8 +63,6 @@ def build_parser():
         sp.add_argument("--out", default=None, help="override the output directory")
         sp.add_argument("--json", action="store_true", dest="as_json",
                         help="print a machine-readable report")
-        sp.add_argument("--workers", type=int, default=None,
-                        help="worker processes for kernel grids")
         sp.set_defaults(func=fn)
     return parser
 
@@ -132,7 +129,7 @@ def cmd_steady(scn, args, out_dir):
 def cmd_dam_distribution(scn, args, out_dir):
     run = scenario_runs(scn)[0]
     bundle = steady_state_bundle(run.model, run.theta)
-    exact = pointer_distribution(run, "exact", bundle=bundle, workers=scn.workers)
+    exact = pointer_distribution(run, "exact", bundle=bundle)
     pert = pointer_distribution(run, "perturbative", bundle=bundle)
     ideal = pointer_distribution(run, "ideal", bundle=bundle)
     q = exact.q_grid
@@ -183,7 +180,7 @@ def cmd_dam_distribution(scn, args, out_dir):
 
 
 def cmd_scaling(scn, args, out_dir):
-    result = scaling_sweep(scn, workers=scn.workers)
+    result = scaling_sweep(scn)
     csv_path = out_dir / "scaling.csv"
     sweep_csv(result, csv_path)
     dam = result.series("dam")
@@ -228,7 +225,7 @@ def cmd_scaling(scn, args, out_dir):
 
 
 def cmd_nonadiabaticity(scn, args, out_dir):
-    result = nonadiabaticity_sweep(scn, workers=scn.workers)
+    result = nonadiabaticity_sweep(scn)
     csv_path = out_dir / "nonadiabaticity.csv"
     sweep_csv(result, csv_path)
     rows = result.series("delta")
@@ -315,7 +312,7 @@ def cmd_verify(scn, args, out_dir):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    results = run_checks(params, checks=scn.checks, workers=scn.workers)
+    results = run_checks(params, checks=scn.checks)
     csv_path = out_dir / "verify_report.csv"
     write_report(results, csv_path)
     payload = []
@@ -359,9 +356,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        scn = load_scenario(
-            args.config, seed=args.seed, workers=args.workers, out_dir=args.out
-        )
+        scn = load_scenario(args.config, seed=args.seed, out_dir=args.out)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

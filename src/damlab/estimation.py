@@ -350,7 +350,7 @@ def _entropy(seed):
     return [int(s) for s in seed]
 
 
-def mc_dam_error(runs, link, trials, seed, workers=None):
+def mc_dam_error(runs, link, trials, seed):
     """Monte Carlo error of the pointer estimator against the formula.
 
     ``runs`` is one DamRun or, for factorizing multi-parameter setups (one
@@ -358,7 +358,6 @@ def mc_dam_error(runs, link, trials, seed, workers=None):
     sharing N, T and apparatus. Readings are sampled from the exact pointer
     distributions with per-observable seed substreams; runs with more than 1%
     clamped readings are rejected instead of silently biasing the estimate.
-    ``workers`` sets the process count of the distributions' kernel grids.
     """
     if isinstance(runs, DamRun):
         runs = [runs]
@@ -389,7 +388,7 @@ def mc_dam_error(runs, link, trials, seed, workers=None):
 
     bundles = [steady_state_bundle(r.model, r.theta) for r in runs]
     dists = [
-        pointer_distribution(r, "exact", bundle=b, workers=workers)
+        pointer_distribution(r, "exact", bundle=b)
         for r, b in zip(runs, bundles)
     ]
     ent = _entropy(seed)

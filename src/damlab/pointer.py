@@ -265,7 +265,7 @@ def _minimal_realization(base, lin_p, lin_pp, w, v):
     return reduced, bool(drift <= REDUCTION_RTOL * np.linalg.norm(lin_p))
 
 
-def _grid_kernels(run, bundle, p1, p2, idx_k, workers=None):
+def _grid_kernels(run, bundle, p1, p2, idx_k):
     """Exact kernels at the half-plane pairs (p1, p2), p1 - p2 = idx_k dp.
 
     The coupled generator is cut to its minimal realization first. When the
@@ -273,31 +273,13 @@ def _grid_kernels(run, bundle, p1, p2, idx_k, workers=None):
     computed at x = k dp and scattered with idx_k.
     """
     mats, x_only = _minimal_realization(*_generator_terms(run, bundle))
+    base, lin_p, lin_pp, w, v = mats
     if x_only:
         p = run.apparatus.p_grid()
         x = (p[1] - p[0]) * np.arange(p.size)
-        return _batched_kernels(mats, x, np.zeros_like(x), workers)[idx_k]
-    return _batched_kernels(mats, p1, p2, workers)
-
-
-def _batched_kernels(mats, p1, p2, workers):
-    base, lin_p, lin_pp, w, v = mats
-    if workers is not None and workers > 1 and p1.size >= 4 * workers:
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = np.linspace(0, p1.size, workers + 1).astype(int)
-        jobs = [
-            (base, lin_p, lin_pp, p1[lo:hi], p2[lo:hi], w, v)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_kernel_chunk, jobs))
-        return np.concatenate(parts)
-    return kernels.trace_kernels(base, lin_p, lin_pp, p1, p2, w, v)
-
-
-def _kernel_chunk(args):
-    base, lin_p, lin_pp, p1, p2, w, v = args
+        return kernels.trace_kernels(
+            base, lin_p, lin_pp, x, np.zeros_like(x), w, v
+        )[idx_k]
     return kernels.trace_kernels(base, lin_p, lin_pp, p1, p2, w, v)
 
 
@@ -335,7 +317,7 @@ class PointerDistribution:
         return np.interp(x, edges, cum)
 
 
-def pointer_distribution(run, kernel_source="exact", bundle=None, workers=None):
+def pointer_distribution(run, kernel_source="exact", bundle=None):
     """Pointer density Pr(q) for a run, from one of three kernel sources.
 
     kernel_source:
@@ -360,7 +342,7 @@ def pointer_distribution(run, kernel_source="exact", bundle=None, workers=None):
     mean_a = b.expectation(run.observable)
 
     if kernel_source == "exact":
-        kv = _grid_kernels(run, b, p1, p2, idx_k, workers=workers)
+        kv = _grid_kernels(run, b, p1, p2, idx_k)
     elif kernel_source == "perturbative":
         kv = perturbative_kernel(run, p1, p2, bundle=b)
     else:
@@ -422,7 +404,7 @@ def variance_closed_form(bundle, a, sigma, n, t):
     )
 
 
-def nonadiabaticity(run, bundle=None, workers=None):
+def nonadiabaticity(run, bundle=None):
     """Root-mean-square kernel deviation Delta from the ideal phase (N=1).
 
     Delta^2 = int dp dp' |phi(p)|^2 |phi(p')|^2 |K(p,p') - exp(-i(p-p')<A>)|^2,
@@ -439,7 +421,7 @@ def nonadiabaticity(run, bundle=None, workers=None):
     p1 = p[idx_i]
     p2 = p[idx_i - idx_k]
     mean_a = b.expectation(run.observable)
-    kv = _grid_kernels(run, b, p1, p2, idx_k, workers=workers)
+    kv = _grid_kernels(run, b, p1, p2, idx_k)
     dev2 = np.abs(kv - np.exp(-1j * (p1 - p2) * mean_a)) ** 2
     w2 = _phi(app, p) ** 2 * dp
     mult = np.where(idx_k == 0, 1.0, 2.0)

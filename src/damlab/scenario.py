@@ -24,6 +24,10 @@ optionally [sweep] and [verify]:
     axis = N                    ; N, T or theta
     values = 1, 2, 5, 10
 
+The keys above, plus [apparatus] p_halfwidth/q_halfwidth/q_points and [run]
+n_over_t, are the only ones accepted: an unknown section or key is an error,
+not a silently ignored typo. [verify] keys name VerifyParams fields.
+
 Custom models are JSON files: complex matrices are nested [re, im] pairs, and
 jump rates are affine in the parameters, {"const": c, "slope_per_param":
 [s_1, ...]} meaning rate(theta) = c + s . theta. Rates must be nonnegative on
@@ -229,12 +233,21 @@ class Scenario:
     n_over_t: Optional[float]
     trials: int
     seed: int
-    workers: Optional[int]
     sweep_axis: Optional[str]
     sweep_values: Optional[tuple]
     out_dir: str
     checks: Optional[tuple]
     verify_overrides: dict
+
+
+# accepted keys per section; [verify] keys are checked by apply_overrides
+_KEYS = {
+    "model": ("name", "file", "theta", "observable"),
+    "apparatus": ("sigma", "p_halfwidth", "p_points", "q_halfwidth", "q_points"),
+    "run": ("t", "n", "n_over_t", "link", "trials", "seed", "out_dir"),
+    "sweep": ("axis", "values"),
+    "verify": None,
+}
 
 
 def _get(cfg, section, key, conv, path, default=None, required=False):
@@ -256,7 +269,7 @@ def _floats(raw):
     return tuple(vals)
 
 
-def load_scenario(path, seed=None, workers=None, out_dir=None):
+def load_scenario(path, seed=None, out_dir=None):
     """Parse and validate a scenario file; CLI overrides win over file keys."""
     path = Path(path)
     try:
@@ -270,6 +283,21 @@ def load_scenario(path, seed=None, workers=None, out_dir=None):
     except configparser.Error as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
+    sections = (["DEFAULT"] if cfg.defaults() else []) + cfg.sections()
+    for section in sections:
+        if section not in _KEYS:
+            _fail(
+                path,
+                f"unknown section [{section}] (sections: {', '.join(sorted(_KEYS))})",
+            )
+        accepted = _KEYS[section]
+        for key in cfg.options(section) if accepted else ():
+            if key not in accepted:
+                _fail(
+                    path,
+                    f"unknown [{section}] key {key!r} "
+                    f"(keys: {', '.join(sorted(accepted))})",
+                )
     for section in ("model", "run"):
         if not cfg.has_section(section):
             _fail(path, f"missing [{section}] section")
@@ -341,11 +369,6 @@ def load_scenario(path, seed=None, workers=None, out_dir=None):
         seed = _get(cfg, "run", "seed", int, path)
     if seed is None:
         _fail(path, "seed is mandatory: set [run] seed or pass --seed")
-    file_workers = _get(cfg, "run", "workers", int, path)
-    if workers is None:
-        workers = file_workers
-    if workers is not None and workers < 1:
-        _fail(path, "workers must be at least 1")
     if out_dir is None:
         out_dir = _get(cfg, "run", "out_dir", str, path, default="out")
 
@@ -393,7 +416,6 @@ def load_scenario(path, seed=None, workers=None, out_dir=None):
         n_over_t=n_over_t,
         trials=trials,
         seed=int(seed),
-        workers=workers,
         sweep_axis=sweep_axis,
         sweep_values=sweep_values,
         out_dir=str(out_dir),

@@ -8,7 +8,7 @@ Every sweep command emits the same row schema
 so downstream tooling can parse any sweep CSV the same way. Cells that do not
 apply to a series hold nan. Per-row runtimes are kept in memory for the
 console summary but never written to the CSV, which keeps reruns of the same
-scenario byte-identical regardless of machine load or worker count.
+scenario byte-identical regardless of machine load.
 
 Series emitted by the error-scaling sweep:
 
@@ -175,14 +175,13 @@ def _is_integral(v):
     return abs(v - round(v)) < 1e-9
 
 
-def scaling_sweep(scn, workers=None):
+def scaling_sweep(scn):
     """Estimation error against N, T or theta: formula, Monte Carlo, baselines.
 
     Each sweep point runs ``scn.trials`` Monte Carlo trials seeded from the
     scenario seed and the point index, so the full table is reproducible from
     the scenario file alone. On a T sweep with ``n_over_t`` set, N follows the
-    axis as N = n_over_t * T. ``workers`` sets the process count of the
-    kernel grids; the table does not depend on it.
+    axis as N = n_over_t * T.
     """
     axis = scn.sweep_axis
     if axis is None:
@@ -208,9 +207,7 @@ def scaling_sweep(scn, workers=None):
 
         start = time.perf_counter()
         runs = scenario_runs(scn, t=t, n=n, theta=theta)
-        report = mc_dam_error(
-            runs, link, scn.trials, [scn.seed, idx], workers=workers
-        )
+        report = mc_dam_error(runs, link, scn.trials, [scn.seed, idx])
         elapsed = (time.perf_counter() - start) * 1e3
         shifts = report.notes.get("mean_shift", [NAN])
         result.rows.append(
@@ -272,7 +269,7 @@ def leading_nonadiabaticity(bundle, a, sigma, t):
     )
 
 
-def nonadiabaticity_sweep(scn, workers=None):
+def nonadiabaticity_sweep(scn):
     """Exact kernel deviation Delta(T) against its leading 1/T form.
 
     Runs at N = 1 (where Delta is defined) for the first scenario observable;
@@ -297,7 +294,7 @@ def nonadiabaticity_sweep(scn, workers=None):
             n=1.0,
             apparatus=scn.apparatus,
         )
-        delta = nonadiabaticity(run, bundle=bundle, workers=workers)
+        delta = nonadiabaticity(run, bundle=bundle)
         elapsed = (time.perf_counter() - start) * 1e3
         result.rows.append(
             SweepRow(

@@ -244,10 +244,9 @@ def test_verify_report_identical_across_worker_counts(tmp_path, capsys):
         .replace("sigma = 0.1", "sigma = 0.2"),
     )
     blobs = []
-    for k, workers in enumerate(("1", "2")):
+    for k in range(2):
         code, _, _ = run_cli(
-            capsys, "verify", "--config", cfg, "--out", tmp_path / f"o{k}",
-            "--workers", workers,
+            capsys, "verify", "--config", cfg, "--out", tmp_path / f"o{k}"
         )
         assert code == 0
         blobs.append((tmp_path / f"o{k}" / "verify_report.csv").read_bytes())
@@ -282,6 +281,22 @@ def test_configuration_errors_exit_2(tmp_path, capsys):
     )
     code, _, err = run_cli(capsys, "steady", "--config", cfg, "--out", tmp_path)
     assert code == 2 and "nope.json" in err
+
+
+@pytest.mark.parametrize(
+    "anchor, added, name",
+    [
+        ("trials = 200", "tirals = 5", "'tirals'"),
+        ("sigma = 0.1", "sigam_p = 3", "'sigam_p'"),
+        ("seed = 99", "workers = 2", "'workers'"),
+        ("seed = 99", "\n[sweeep]\naxis = N", "[sweeep]"),
+    ],
+)
+def test_unknown_scenario_keys_exit_2(tmp_path, capsys, anchor, added, name):
+    text = QUICK.format(t=200, extra="").replace(anchor, f"{anchor}\n{added}")
+    cfg = write_cfg(tmp_path, text)
+    code, _, err = run_cli(capsys, "steady", "--config", cfg, "--out", tmp_path)
+    assert code == 2 and name in err
 
 
 def test_module_entry_point_runs(tmp_path):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -46,7 +51,7 @@ def test_expm_batch_rejects_bad_shapes():
 
 
 def test_expm_batch_split_invariance_is_bitwise():
-    # worker chunking must not change results, down to the last bit
+    # trace_kernels chunks its batch; chunking must not change a bit
     rng = np.random.default_rng(77)
     a = random_batch(rng, 40, 4, 12.0)
     whole = _kernels_py.expm_batch(a)
@@ -144,3 +149,18 @@ def test_pointer_grids_call_the_backend_kernels_attribute(monkeypatch):
     ]
     assert len(got) == len(want)
     assert set(got) == want
+
+
+def test_kernel_benchmark_script_runs():
+    src_root = str(Path(damlab.__file__).resolve().parent.parent)
+    script = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src_root + (os.pathsep + path if path else ""))
+    out = subprocess.run(
+        [sys.executable, str(script), "--pairs", "64", "--repeats", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "reduced dimension 4 -> 2, x-only True" in out.stdout

@@ -356,15 +356,6 @@ def test_product_marginal_factorizes():
     assert abs(dj.mean - ds.mean) <= 1e-12
 
 
-def test_worker_pool_is_bitwise_equivalent():
-    run = gad_run()
-    serial = pointer_distribution(run)
-    pooled = pointer_distribution(run, workers=2)
-    assert np.array_equal(serial.density, pooled.density)
-    assert np.array_equal(serial.q_grid, pooled.q_grid)
-    assert serial.mean == pooled.mean and serial.variance == pooled.variance
-
-
 @st.composite
 def random_runs(draw):
     """Random GKLS run of dimension 2-4 with quarter-integer entries.

@@ -73,9 +73,8 @@ def test_apparatus_keys_override_defaults(tmp_path):
 
 
 def test_cli_arguments_win_over_file_keys(tmp_path):
-    scn = load_scenario(write(tmp_path, GOOD), seed=7, workers=3, out_dir="elsewhere")
+    scn = load_scenario(write(tmp_path, GOOD), seed=7, out_dir="elsewhere")
     assert scn.seed == 7
-    assert scn.workers == 3
     assert scn.out_dir == "elsewhere"
 
 

@@ -94,35 +94,6 @@ def test_scaling_sweep_is_deterministic(tmp_path):
         assert ra.cells() == rb.cells()
 
 
-def test_scaling_csv_identical_for_worker_counts(tmp_path):
-    scn = scenario(tmp_path, extra="[sweep]\naxis = N\nvalues = 2, 8\n")
-    blobs = []
-    for workers in (None, 2):
-        path = tmp_path / f"scaling_{workers}.csv"
-        sweep_csv(scaling_sweep(scn, workers=workers), path)
-        blobs.append(path.read_bytes())
-    assert blobs[0] == blobs[1]
-
-
-def test_scaling_sweep_starts_pools_for_workers(tmp_path, monkeypatch):
-    import concurrent.futures
-
-    pools = []
-    base = concurrent.futures.ProcessPoolExecutor
-
-    class CountedPool(base):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-    scn = scenario(tmp_path, extra="[sweep]\naxis = N\nvalues = 2\n")
-    scaling_sweep(scn)
-    assert pools == []
-    scaling_sweep(scn, workers=2)
-    assert pools == [2]
-
-
 def test_scaling_sweep_t_axis_with_locked_ratio(tmp_path):
     scn = scenario(
         tmp_path,
