@@ -307,11 +307,7 @@ def cmd_qfi_bound(scn, args, out_dir):
 
 
 def cmd_verify(scn, args, out_dir):
-    try:
-        params = apply_overrides(VerifyParams(seed=scn.seed), scn.verify_overrides)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    params = apply_overrides(VerifyParams(seed=scn.seed), scn.verify_overrides)
     results = run_checks(params, checks=scn.checks)
     csv_path = out_dir / "verify_report.csv"
     write_report(results, csv_path)
@@ -357,7 +353,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         scn = load_scenario(args.config, seed=args.seed, out_dir=args.out)
-    except ScenarioError as exc:
+        apply_overrides(VerifyParams(seed=scn.seed), scn.verify_overrides)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(scn.out_dir)

@@ -20,7 +20,8 @@ the other half follows from the conjugation identity K(p', p) = conj K(p, p').
 Grids exponentiate the generator on its minimal realization: the subspace
 reachable from vec(rho_ss) and observable from vec(I). Where A X = X A on
 that subspace, K depends on x alone and a grid needs one exponential per
-offset. The final transform is a direct Fourier sum onto the q grid.
+offset. Both grids are uniform, so the final transform onto the q grid is a
+chirp-z transform, computed by Bluestein's algorithm with one FFT convolution.
 """
 
 import math
@@ -287,9 +288,7 @@ def _grid_kernels(run, bundle, p1, p2, idx_k):
 class PointerDistribution:
     """Discretized pointer density with quadrature moments.
 
-    normalization_defect is |quadrature sum - 1| before renormalization;
-    imag_residue is the largest imaginary part discarded when taking the real
-    density (roundoff scale when the kernel symmetry holds).
+    normalization_defect is |quadrature sum - 1| before renormalization.
     """
 
     q_grid: np.ndarray
@@ -297,7 +296,6 @@ class PointerDistribution:
     mean: float
     variance: float
     normalization_defect: float
-    imag_residue: float
 
     @property
     def dq(self):
@@ -315,6 +313,32 @@ class PointerDistribution:
         cum = np.concatenate([[0.0], np.cumsum(self.cell_masses())])
         cum[-1] = 1.0
         return np.interp(x, edges, cum)
+
+
+def _hermitian_chirp_sum(c, dp, q0, dq, count):
+    """Re c[0] + 2 Re sum_{n>0} c[n] exp(i q_m n dp) at q_m = q0 + m dq, m < count.
+
+    This is the real Fourier sum of the Hermitian sequence c[-n] = conj c[n].
+    Bluestein's chirp-z transform writes m n = (m^2 + n^2 - (m - n)^2) / 2 and
+    evaluates it as one circular convolution of power-of-two length. The chirp
+    phases dq dp j^2 / 2 reach hundreds of radians, so they are reduced in
+    turns: the high part of the rate, times the integer j^2, is exact.
+    """
+    k = c.size
+    size = 1 << (count + k - 2).bit_length()
+    jmax = max(count, k) - 1
+    jj = np.arange(jmax + 1, dtype=float) ** 2
+    rate = dq * dp / (4.0 * np.pi)
+    frac, exp2 = math.frexp(rate)
+    bits = 53 - (jmax * jmax).bit_length()
+    hi = math.ldexp(round(math.ldexp(frac, bits)), exp2 - bits)
+    chirp = np.exp(2j * np.pi * ((hi * jj) % 1.0 + (rate - hi) * jj))
+    a = c * np.exp(1j * q0 * dp * np.arange(k)) * chirp[:k]
+    b = np.zeros(size, dtype=complex)
+    b[:count] = chirp[:count].conj()
+    b[size - k + 1:] = chirp[k - 1:0:-1].conj()
+    y = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b))[:count]
+    return 2.0 * (chirp[:count] * y).real - c[0].real
 
 
 def pointer_distribution(run, kernel_source="exact", bundle=None):
@@ -355,13 +379,11 @@ def pointer_distribution(run, kernel_source="exact", bundle=None):
         np.bincount(idx_k, weights=contrib.real, minlength=k)
         + 1j * np.bincount(idx_k, weights=contrib.imag, minlength=k)
     ) * dp
-    c_full = np.concatenate([c_half[:0:-1].conj(), c_half])
-    x_full = np.concatenate([-dp * np.arange(k - 1, 0, -1), dp * np.arange(k)])
-
     q = app.q_grid(center=run.n * mean_a)
-    vals = (dp / (2.0 * np.pi)) * (np.exp(1j * np.outer(q, x_full)) @ c_full)
-    density = vals.real
-    imag_residue = float(np.abs(vals.imag).max())
+    step = (q[-1] - q[0]) / (q.size - 1)
+    density = (dp / (2.0 * np.pi)) * _hermitian_chirp_sum(
+        c_half, dp, q[0], step, q.size
+    )
 
     if density.min() < NEGATIVE_DENSITY_LIMIT:
         raise ValueError(
@@ -386,7 +408,6 @@ def pointer_distribution(run, kernel_source="exact", bundle=None):
         mean=mean,
         variance=variance,
         normalization_defect=defect,
-        imag_residue=imag_residue,
     )
 
 

@@ -26,12 +26,14 @@ optionally [sweep] and [verify]:
 
 The keys above, plus [apparatus] p_halfwidth/q_halfwidth/q_points and [run]
 n_over_t, are the only ones accepted: an unknown section or key is an error,
-not a silently ignored typo. [verify] keys name VerifyParams fields.
+not a silently ignored typo. [verify] keys name VerifyParams fields; the
+command line checks them on load, whatever the command.
 
 Custom models are JSON files: complex matrices are nested [re, im] pairs, and
 jump rates are affine in the parameters, {"const": c, "slope_per_param":
 [s_1, ...]} meaning rate(theta) = c + s . theta. Rates must be nonnegative on
 the whole (box) domain, which for affine maps is checked at the corners.
+Unknown keys are errors here too: at the top level, in a jump and in a rate.
 
 Registered model names: gad, product_gad_2, product_gad_3. Registered
 observables: "excited" (the |0><0| projector) and "excited@k" for site k of a
@@ -77,6 +79,20 @@ def _fail(path, msg):
 # --------------------------------------------------------------- JSON models
 
 
+_MODEL_KEYS = ("name", "dim", "param_domain", "hamiltonian", "jumps", "observables")
+_JUMP_KEYS = ("matrix", "rate")
+_RATE_KEYS = ("const", "slope_per_param")
+
+
+def _check_keys(obj, accepted, where, path):
+    for key in obj:
+        if key not in accepted:
+            _fail(
+                path,
+                f"{where}unknown key {key!r} (keys: {', '.join(sorted(accepted))})",
+            )
+
+
 def _parse_cmatrix(raw, dim, where, path):
     try:
         arr = np.asarray(raw, dtype=float)
@@ -102,6 +118,7 @@ def load_model_file(path):
         ) from exc
     if not isinstance(doc, dict):
         _fail(path, "top level must be an object")
+    _check_keys(doc, _MODEL_KEYS, "", path)
 
     name = doc.get("name")
     if not isinstance(name, str) or not name:
@@ -135,10 +152,12 @@ def load_model_file(path):
     for k, entry in enumerate(jumps_raw):
         if not isinstance(entry, dict) or "matrix" not in entry or "rate" not in entry:
             _fail(path, f"jumps[{k}]: need matrix and rate")
+        _check_keys(entry, _JUMP_KEYS, f"jumps[{k}]: ", path)
         jump_ops.append(_parse_cmatrix(entry["matrix"], dim, f"jumps[{k}].matrix", path))
         rate = entry["rate"]
         if not isinstance(rate, dict):
             _fail(path, f"jumps[{k}].rate: expected {{const, slope_per_param}}")
+        _check_keys(rate, _RATE_KEYS, f"jumps[{k}].rate: ", path)
         try:
             const = float(rate["const"])
             slope = np.asarray(rate["slope_per_param"], dtype=float)
@@ -240,7 +259,8 @@ class Scenario:
     verify_overrides: dict
 
 
-# accepted keys per section; [verify] keys are checked by apply_overrides
+# accepted keys per section; [verify] keys are checked against VerifyParams by
+# the command line, since acceptance imports this module
 _KEYS = {
     "model": ("name", "file", "theta", "observable"),
     "apparatus": ("sigma", "p_halfwidth", "p_points", "q_halfwidth", "q_points"),

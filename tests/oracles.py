@@ -47,6 +47,25 @@ def gad_pinv_action(x, theta):
     return np.trace(x) * rho - x - P0 @ x @ P1 - P1 @ x @ P0
 
 
+def dense_hermitian_sum(c, dp, q0, dq, count):
+    """Re c[0] + 2 Re sum_{n>0} c[n] exp(i q_m n dp) at q_m = q0 + m dq, m < count,
+    by mirroring c to c[-n] = conj c[n] and one dense exp(i q x) phase matrix."""
+    k = c.size
+    c_full = np.concatenate([c[:0:-1].conj(), c])
+    x_full = dp * np.arange(1 - k, k)
+    q = q0 + dq * np.arange(count)
+    return (np.exp(1j * np.outer(q, x_full)) @ c_full).real
+
+
+def extended_hermitian_sum(c, dp, q0, dq, count):
+    """dense_hermitian_sum with the phases and sums in np.longdouble."""
+    ld = np.longdouble
+    phase = np.outer(ld(q0) + ld(dq) * np.arange(count), ld(dp) * np.arange(c.size))
+    re, im = c.real.astype(ld), c.imag.astype(ld)
+    terms = np.cos(phase) * re - np.sin(phase) * im
+    return 2 * terms[:, 1:].sum(axis=1) + re[0]
+
+
 def random_operator(rng, d):
     return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 

@@ -265,6 +265,12 @@ def test_configuration_errors_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "scaling", "--config", cfg, "--out", tmp_path)
     assert code == 2 and "no [sweep] section" in err
 
+    # an apparatus value the grid rejects
+    cfg = write_cfg(tmp_path, QUICK.format(t=200, extra="").replace(
+        "sigma = 0.1", "sigma = -0.1"), name="negsigma.ini")
+    code, _, err = run_cli(capsys, "steady", "--config", cfg, "--out", tmp_path)
+    assert code == 2 and "sigma must be positive" in err
+
     # unknown verify key
     cfg = write_cfg(
         tmp_path, QUICK.format(t=200, extra="[verify]\nbogus_knob = 1\n"),
@@ -297,6 +303,27 @@ def test_unknown_scenario_keys_exit_2(tmp_path, capsys, anchor, added, name):
     cfg = write_cfg(tmp_path, text)
     code, _, err = run_cli(capsys, "steady", "--config", cfg, "--out", tmp_path)
     assert code == 2 and name in err
+
+
+@pytest.mark.parametrize("command", ["steady", "dam-distribution", "verify"])
+def test_unknown_verify_key_exits_2_for_every_command(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, QUICK.format(t=200, extra="[verify]\nbogus = 1\n"))
+    code, _, err = run_cli(capsys, command, "--config", cfg, "--out", tmp_path)
+    assert code == 2 and "unknown [verify] key 'bogus'" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_misspelled_model_file_key_exits_2(tmp_path, capsys):
+    text = (CONFIG_DIR / "driven_gad.json").read_text()
+    assert '"hamiltonian"' in text
+    (tmp_path / "driven_gad.json").write_text(
+        text.replace('"hamiltonian"', '"hamiltonain"')
+    )
+    shutil.copy(CONFIG_DIR / "driven_demo.ini", tmp_path / "driven_demo.ini")
+    code, _, err = run_cli(
+        capsys, "steady", "--config", tmp_path / "driven_demo.ini", "--out", tmp_path
+    )
+    assert code == 2 and "unknown key 'hamiltonain'" in err and "hamiltonian" in err
 
 
 def test_module_entry_point_runs(tmp_path):

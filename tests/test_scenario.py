@@ -261,6 +261,25 @@ def test_model_file_shape_and_type_errors(tmp_path):
         load_model_file(write_model(tmp_path, doc))
 
 
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (lambda doc: doc.update(hamiltonain=doc.pop("hamiltonian")), "'hamiltonain'"),
+        (lambda doc: doc["jumps"][1].update(rates={}), "jumps[1]: unknown key 'rates'"),
+        (
+            lambda doc: doc["jumps"][0]["rate"].update(slope=[1.0]),
+            "jumps[0].rate: unknown key 'slope'",
+        ),
+    ],
+)
+def test_model_file_rejects_unknown_keys(tmp_path, edit, where):
+    doc = json.loads(json.dumps(MODEL))
+    edit(doc)
+    with pytest.raises(ScenarioError, match=r"unknown key") as info:
+        load_model_file(write_model(tmp_path, doc))
+    assert where in str(info.value) and "(keys: " in str(info.value)
+
+
 def test_model_file_syntax_error_reports_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "name": "x",\n  "dim": ,\n}\n')
