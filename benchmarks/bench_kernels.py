@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from damlab import _kernels_py
-from damlab.models import gad_model, product_gad_model, steady_state_bundle
+from damlab.models import gad_model, product_gad_model
 from damlab.pointer import (
     DamRun,
     _generator_terms,
@@ -36,9 +36,9 @@ CASES = (
 )
 
 
-def dense_workload(run, bundle, pairs):
+def dense_workload(run, pairs):
     """The full generator at uniformly drawn (p, p') pairs of the grid's span."""
-    base, lin_p, lin_pp, w, v = _generator_terms(run, bundle)
+    base, lin_p, lin_pp, w, v = _generator_terms(run)
     half = run.apparatus.p_halfwidth
     rng = np.random.default_rng(2026)
     p1 = rng.uniform(-half, half, size=pairs)
@@ -70,15 +70,14 @@ def main():
     p1, p2 = p[idx_i], p[idx_i - idx_k]
     for (label, model, theta, a), pairs in zip(CASES, (args.pairs, args.pairs // 4)):
         run = DamRun(model, theta, a, t=200.0, n=1.0, apparatus=app)
-        bundle = steady_state_bundle(model, run.theta)
-        work = dense_workload(run, bundle, pairs)
+        work = dense_workload(run, pairs)
         m = work[0].shape[0]
         t = best_time(lambda: _kernels_py.trace_kernels(*work), args.repeats)
         print(f"{label} dense {m}x{m} superoperators: {pairs} pairs")
         print(f"  {t * 1e3:9.1f} ms  ({t / pairs * 1e6:7.2f} us/pair)")
 
-        mats, x_only = _minimal_realization(*_generator_terms(run, bundle))
-        t = best_time(lambda: _grid_kernels(run, bundle, p1, p2, idx_k), args.repeats)
+        mats, x_only = _minimal_realization(*_generator_terms(run))
+        t = best_time(lambda: _grid_kernels(run, p1, p2, idx_k), args.repeats)
         exps = p.size if x_only else idx_i.size
         print(f"{label} grid, {idx_i.size} pairs in {exps} exponentials: "
               f"reduced dimension {m} -> {mats[0].shape[0]}, x-only {x_only}")

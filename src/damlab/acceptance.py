@@ -198,6 +198,18 @@ def _bias_z(theta_hat, theta_true, per_component_error, trials):
     return float((dev / scale).max())
 
 
+def _gad_run(theta, t, n, sigma):
+    """The qubit GAD model at theta, read through the excited-state projector."""
+    return DamRun(
+        model=gad_model(),
+        theta=np.array([theta]),
+        observable=EXCITED_PROJECTOR,
+        t=t,
+        n=n,
+        apparatus=default_apparatus(sigma),
+    )
+
+
 def _check_conventional_baseline(p):
     rep = conventional_povm_error(p.theta, p.povm_n, p.povm_trials, [p.seed, 1])
     rel = abs(rep.empirical_error / rep.predicted_error - 1.0)
@@ -243,16 +255,7 @@ def _check_pseudoinverse_closed_form(p):
 
 
 def _check_pointer_moments(p):
-    model = gad_model()
-    run = DamRun(
-        model=model,
-        theta=np.array([p.theta]),
-        observable=EXCITED_PROJECTOR,
-        t=p.pointer_t,
-        n=1.0,
-        apparatus=default_apparatus(p.sigma),
-    )
-    dist = pointer_distribution(run, "exact")
+    dist = pointer_distribution(_gad_run(p.theta, p.pointer_t, 1.0, p.sigma), "exact")
     var_target = p.sigma**2 + 2.0 * p.theta * (1.0 - p.theta) / p.pointer_t
     return [
         _le("mean_defect", abs(dist.mean - p.theta), POINTER_MEAN_TOL),
@@ -265,20 +268,8 @@ def _check_pointer_moments(p):
 
 
 def _check_nonadiabaticity_scaling(p):
-    model = gad_model()
-    bundle = steady_state_bundle(model, [p.theta])
-    app = default_apparatus(p.nonadiabatic_sigma)
-
     def delta(t):
-        run = DamRun(
-            model=model,
-            theta=np.array([p.theta]),
-            observable=EXCITED_PROJECTOR,
-            t=float(t),
-            n=1.0,
-            apparatus=app,
-        )
-        return nonadiabaticity(run, bundle=bundle)
+        return nonadiabaticity(_gad_run(p.theta, t, 1.0, p.nonadiabatic_sigma))
 
     deltas = [delta(t) for t in p.nonadiabatic_ts]
     metrics = []
@@ -294,26 +285,18 @@ def _check_nonadiabaticity_scaling(p):
 
 
 def _check_heisenberg_scaling(p):
-    model = gad_model()
     link = identity_link()
-    app = default_apparatus(p.scaling_sigma)
-    theta = np.array([p.scaling_theta])
     rels = []
     zs = []
     dam_err = []
     povm_err = []
     for idx, n in enumerate(p.scaling_ns):
-        run = DamRun(
-            model=model,
-            theta=theta,
-            observable=EXCITED_PROJECTOR,
-            t=p.scaling_t,
-            n=float(n),
-            apparatus=app,
-        )
+        run = _gad_run(p.scaling_theta, p.scaling_t, n, p.scaling_sigma)
         rep = mc_dam_error(run, link, p.scaling_trials, [p.seed, 6, idx])
         rels.append(abs(rep.empirical_error / rep.predicted_error - 1.0))
-        zs.append(_bias_z(rep.theta_hat, theta, rep.empirical_error, p.scaling_trials))
+        zs.append(
+            _bias_z(rep.theta_hat, p.scaling_theta, rep.empirical_error, p.scaling_trials)
+        )
         dam_err.append(rep.empirical_error)
         povm = conventional_povm_error(
             p.scaling_theta, int(round(n)), p.scaling_trials, [p.seed, 6, idx, 1]
@@ -330,28 +313,16 @@ def _check_heisenberg_scaling(p):
     ]
 
 
-def _tv_distance(run):
-    bundle = steady_state_bundle(run.model, run.theta)
-    exact = pointer_distribution(run, "exact", bundle=bundle)
-    pert = pointer_distribution(run, "perturbative", bundle=bundle)
+def _tv_distance(p, t):
+    run = _gad_run(p.theta, t, p.pert_n, p.sigma)
+    exact = pointer_distribution(run, "exact")
+    pert = pointer_distribution(run, "perturbative")
     return 0.5 * float(np.abs(exact.density - pert.density).sum() * exact.dq)
 
 
 def _check_perturbative_kernel(p):
-    model = gad_model()
-
-    def run_at(t):
-        return DamRun(
-            model=model,
-            theta=np.array([p.theta]),
-            observable=EXCITED_PROJECTOR,
-            t=float(t),
-            n=p.pert_n,
-            apparatus=default_apparatus(p.sigma),
-        )
-
-    tv = _tv_distance(run_at(p.pert_t))
-    tv_doubled = _tv_distance(run_at(2.0 * p.pert_t))
+    tv = _tv_distance(p, p.pert_t)
+    tv_doubled = _tv_distance(p, 2.0 * p.pert_t)
     return [
         _le("total_variation", tv, PERT_TV_LIMIT),
         _in("doubling_ratio", tv / tv_doubled, PERT_RATIO_RANGE),
@@ -391,32 +362,18 @@ def _check_qfi_suite(p):
 
 
 def _check_multiparameter(p):
-    model = gad_model()
-    app = default_apparatus(p.multi_sigma)
     link1 = identity_link()
-    runs = []
-    singles = []
-    for th in p.multi_theta:
-        run = DamRun(
-            model=model,
-            theta=np.array([th]),
-            observable=EXCITED_PROJECTOR,
-            t=p.multi_t,
-            n=p.multi_n,
-            apparatus=app,
+    runs = [_gad_run(th, p.multi_t, p.multi_n, p.multi_sigma) for th in p.multi_theta]
+    singles = [
+        dam_error_formula(
+            r.bundle, EXCITED_PROJECTOR, link1, p.multi_sigma, p.multi_n, p.multi_t
         )
-        runs.append(run)
-        bundle = steady_state_bundle(model, run.theta)
-        singles.append(
-            dam_error_formula(
-                bundle, EXCITED_PROJECTOR, link1, p.multi_sigma, p.multi_n, p.multi_t
-            )
-        )
+        for r in runs
+    ]
     m = len(p.multi_theta)
     link = identity_link(domain=tuple((0.0, 1.0) for _ in range(m)))
-    bundles = [steady_state_bundle(r.model, r.theta) for r in runs]
     combined = multiparam_error_formula(
-        bundles,
+        [r.bundle for r in runs],
         [EXCITED_PROJECTOR] * m,
         link,
         p.multi_sigma,
@@ -464,19 +421,18 @@ def _builtin_scenario(model, theta, sigma, t, seed, sweep_axis, sweep_values):
 
 
 def _check_determinism_reduction(p):
-    model = gad_model()
-    bundle = steady_state_bundle(model, [p.theta])
+    run = _gad_run(p.theta, p.pointer_t, 1.0, p.sigma)
     link = identity_link()
     single = dam_error_formula(
-        bundle, EXCITED_PROJECTOR, link, p.sigma, 5.0, p.pointer_t
+        run.bundle, EXCITED_PROJECTOR, link, p.sigma, 5.0, p.pointer_t
     )
     multi = multiparam_error_formula(
-        [bundle], [EXCITED_PROJECTOR], link, p.sigma, 5.0, p.pointer_t
+        [run.bundle], [EXCITED_PROJECTOR], link, p.sigma, 5.0, p.pointer_t
     )
     reduction = abs(single - multi)
 
     scn = _builtin_scenario(
-        model, [p.theta], p.nonadiabatic_sigma, 50.0, p.seed, "T", (50.0, 100.0)
+        run.model, [p.theta], p.nonadiabatic_sigma, 50.0, p.seed, "T", (50.0, 100.0)
     )
     blobs = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -487,15 +443,7 @@ def _check_determinism_reduction(p):
             blobs.append(path.read_bytes())
     stable = blobs[0] == blobs[1] == blobs[2]
 
-    run = DamRun(
-        model=model,
-        theta=np.array([p.theta]),
-        observable=EXCITED_PROJECTOR,
-        t=p.pointer_t,
-        n=1.0,
-        apparatus=default_apparatus(p.sigma),
-    )
-    dist = pointer_distribution(run, "exact", bundle=bundle)
+    dist = pointer_distribution(run, "exact")
     s1 = sample_pointer(dist, np.random.SeedSequence([p.seed, 10]), 5000)
     s2 = sample_pointer(dist, np.random.SeedSequence([p.seed, 10]), 5000)
     replay = bool(np.array_equal(s1, s2))

@@ -128,10 +128,9 @@ def cmd_steady(scn, args, out_dir):
 
 def cmd_dam_distribution(scn, args, out_dir):
     run = scenario_runs(scn)[0]
-    bundle = steady_state_bundle(run.model, run.theta)
-    exact = pointer_distribution(run, "exact", bundle=bundle)
-    pert = pointer_distribution(run, "perturbative", bundle=bundle)
-    ideal = pointer_distribution(run, "ideal", bundle=bundle)
+    exact = pointer_distribution(run, "exact")
+    pert = pointer_distribution(run, "perturbative")
+    ideal = pointer_distribution(run, "ideal")
     q = exact.q_grid
     dev = exact.density - ideal.density
     l1_dev = float(np.abs(dev).sum() * exact.dq)
@@ -147,7 +146,7 @@ def cmd_dam_distribution(scn, args, out_dir):
             "q in pointer position units, densities in 1/q units",
         ),
     )
-    center = run.n * bundle.expectation(run.observable)
+    center = run.n * run.bundle.expectation(run.observable)
     chart = LineChart(
         title=f"pointer density, {scn.model_name}, T={run.t:g}, N={run.n:g}",
         xlabel="pointer position q",

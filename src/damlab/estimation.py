@@ -14,14 +14,10 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 from scipy.special import gammaincinv
 
-from .models import (
-    dissipation_coefficient,
-    gad_model,
-    product_gad_model,
-    steady_state_bundle,
-)
-from .operators import devectorize, is_density_matrix, is_hermitian, mat_exp, vectorize
-from .pointer import DamRun, pointer_distribution, sample_pointer
+from ._kernels_py import expm_batch
+from .models import gad_model, product_gad_model
+from .operators import devectorize, is_density_matrix, is_hermitian, vectorize
+from .pointer import DamRun, pointer_distribution, sample_pointer, variance_closed_form
 
 __all__ = [
     "LinkFunction",
@@ -54,8 +50,8 @@ class LinkFunction:
 
     forward: theta (m,) -> expectations (m,). inverse goes the other way;
     jacobian_inverse(avec) is the (m, m) Jacobian of the inverse map.
-    domain/image are per-axis (lo, hi) boxes; inverse_batch, when present,
-    applies the inverse to an (n, m) block of rows at once.
+    domain/image are per-axis (lo, hi) boxes; inverse_batch applies the
+    inverse to an (n, m) block of rows at once.
     """
 
     m: int
@@ -64,7 +60,7 @@ class LinkFunction:
     jacobian_inverse: Callable
     domain: tuple
     image: tuple
-    inverse_batch: Optional[Callable] = None
+    inverse_batch: Callable
 
 
 def identity_link(domain=((0.0, 1.0),)):
@@ -242,30 +238,22 @@ def dam_estimate(q, n, link):
     Returns an Estimate(theta, clamped) pair.
     """
     q_in = np.asarray(q, dtype=float)
-    scalar = q_in.ndim == 0
-    a = np.atleast_1d(q_in) / float(n)
-    if a.size != link.m:
-        raise ValueError(f"expected {link.m} readings, got {a.size}")
-    lo = np.array([b[0] for b in link.image])
-    hi = np.array([b[1] for b in link.image])
-    clamped = bool(np.any(a < lo) or np.any(a > hi))
-    theta = np.atleast_1d(np.asarray(link.inverse(np.clip(a, lo, hi)), dtype=float))
-    return Estimate(theta=float(theta[0]) if scalar else theta, clamped=clamped)
+    if q_in.size != link.m:
+        raise ValueError(f"expected {link.m} readings, got {q_in.size}")
+    thetas, clamp_mask = _estimate_batch(q_in.reshape(1, -1), n, link)
+    theta = float(thetas[0, 0]) if q_in.ndim == 0 else thetas[0]
+    return Estimate(theta=theta, clamped=bool(clamp_mask[0]))
 
 
 def _estimate_batch(qs, n, link):
-    """Vectorized dam_estimate over an (n_trials, m) block of readings."""
+    """dam_estimate over an (n_trials, m) block of readings: the clamped
+    inverse of every row and a mask of the rows that were clamped."""
     a = np.asarray(qs, dtype=float) / float(n)
     lo = np.array([b[0] for b in link.image])
     hi = np.array([b[1] for b in link.image])
     clamp_mask = np.any((a < lo) | (a > hi), axis=1)
     a = np.clip(a, lo, hi)
-    if link.inverse_batch is not None:
-        thetas = np.asarray(link.inverse_batch(a), dtype=float).reshape(a.shape)
-    else:
-        thetas = np.stack(
-            [np.atleast_1d(np.asarray(link.inverse(row), dtype=float)) for row in a]
-        )
+    thetas = np.asarray(link.inverse_batch(a), dtype=float).reshape(a.shape)
     return thetas, clamp_mask
 
 
@@ -292,17 +280,11 @@ def multiparam_error_formula(bundles, observables, link, sigma, n, t):
     jinv = np.asarray(link.jacobian_inverse(avec), dtype=float)
     if jinv.shape != (m, m) or not np.all(np.isfinite(jinv)):
         raise ValueError("singular link Jacobian")
-    sigma = float(sigma)
     n = float(n)
     t = float(t)
     total = 0.0
     for j in range(m):
-        coeff = dissipation_coefficient(bundles[j], observables[j])
-        bracket = (
-            sigma * sigma
-            - (2.0 * n / t) * coeff.real
-            + (n * coeff.imag / (t * sigma)) ** 2
-        )
+        bracket = variance_closed_form(bundles[j], observables[j], sigma, n, t)
         total += float(np.sum(jinv[:, j] ** 2)) * bracket
     return float(np.sqrt(total) / n)
 
@@ -386,11 +368,7 @@ def mc_dam_error(runs, link, trials, seed):
                 f"run {j} carries {r.theta.size} parameters, expected 1 or {m}"
             )
 
-    bundles = [steady_state_bundle(r.model, r.theta) for r in runs]
-    dists = [
-        pointer_distribution(r, "exact", bundle=b)
-        for r, b in zip(runs, bundles)
-    ]
+    dists = [pointer_distribution(r, "exact") for r in runs]
     ent = _entropy(seed)
     qs = np.column_stack(
         [
@@ -407,7 +385,7 @@ def mc_dam_error(runs, link, trials, seed):
     dev2 = ((thetas - theta_true) ** 2).sum(axis=1)
     empirical = float(np.sqrt(dev2.mean()))
     predicted = multiparam_error_formula(
-        bundles, [r.observable for r in runs], link, sigma, n, t
+        [r.bundle for r in runs], [r.observable for r in runs], link, sigma, n, t
     )
     return EstimationReport(
         theta_hat=thetas.mean(axis=0),
@@ -420,8 +398,8 @@ def mc_dam_error(runs, link, trials, seed):
         seed=seed,
         notes={
             "clamp_fraction": clamp_fraction,
-            "mean_shift": [float(d.mean - r.n * b.expectation(r.observable))
-                           for d, r, b in zip(dists, runs, bundles)],
+            "mean_shift": [float(d.mean - r.n * r.bundle.expectation(r.observable))
+                           for d, r in zip(dists, runs)],
         },
     )
 
@@ -517,6 +495,21 @@ def amplitude_damping_pair(t):
     return lam0, lam1
 
 
+def _channels(liouvillians, t):
+    """exp(L t) for a stack of Liouvillians, by the batched Pade-13 kernel.
+
+    Raises OverflowError when an entry of the result is not finite.
+    """
+    t = float(t)
+    if t < 0:
+        raise ValueError(f"negative evolution time {t}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = expm_batch(np.asarray(liouvillians) * t)
+    if not np.all(np.isfinite(out)):
+        raise OverflowError(f"channel exponential overflowed (t={t})")
+    return out
+
+
 def gad_channel_decomposition_check(theta, t):
     """Max-entry defect of exp(L_theta t) = theta Lam0(t) + (1-theta) Lam1(t).
 
@@ -526,10 +519,7 @@ def gad_channel_decomposition_check(theta, t):
     theta = float(theta)
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-    t = float(t)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    lam_theta = mat_exp(gad_model().liouvillian([theta]), t)
+    lam_theta = _channels([gad_model().liouvillian([theta])], t)[0]
     lam0, lam1 = amplitude_damping_pair(t)
     return float(np.abs(lam_theta - theta * lam0 - (1.0 - theta) * lam1).max())
 
@@ -571,7 +561,8 @@ def qfi_output_bound_check(theta, t, probes, copies=1, slack=1e-4):
         raise ValueError("copies must be 1 or 2")
 
     h = 1e-5
-    chan = {dt: mat_exp(liouville(theta + dt), t) for dt in (0.0, h, -h, h / 2, -h / 2)}
+    offsets = (0.0, h, -h, h / 2, -h / 2)
+    chan = dict(zip(offsets, _channels([liouville(theta + dt) for dt in offsets], t)))
     bound = copies / (theta * (1.0 - theta))
     qfis = []
     gaps = []

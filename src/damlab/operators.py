@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "SpectrumReport",
@@ -120,10 +119,14 @@ def lindblad_superoperator(h, jumps=(), tol=1e-10):
 def mat_exp(m, t):
     """exp(M t) for a superoperator matrix M and time t >= 0.
 
-    Scaling and squaring with Pade approximants, robust for non-normal and
-    defective generators. Overflow is reported (OverflowError), never
-    silently clamped.
+    scipy's scaling and squaring with Pade approximants, robust for
+    non-normal and defective generators. It is independent of the batched
+    kernel in ``_kernels_py``, which makes it the oracle of ``trace_kernel``;
+    scipy.linalg is imported on first use, so importing damlab does not load
+    it. Overflow is reported (OverflowError), never silently clamped.
     """
+    import scipy.linalg
+
     m = _as_square(m, "superoperator")
     t = float(t)
     if t < 0:

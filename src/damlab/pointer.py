@@ -24,6 +24,7 @@ offset. Both grids are uniform, so the final transform onto the q grid is a
 chirp-z transform, computed by Bluestein's algorithm with one FFT convolution.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,7 +111,11 @@ def default_apparatus(sigma=0.1):
 
 @dataclass(frozen=True, eq=False)
 class DamRun:
-    """One measurement configuration: model, observable, T, N and apparatus."""
+    """One measurement configuration: model, observable, T, N and apparatus.
+
+    ``bundle`` is the steady-state bundle of (model, theta), built on first
+    use and kept with the run.
+    """
 
     model: LindbladModel
     theta: np.ndarray
@@ -138,11 +143,9 @@ class DamRun:
         if not self.n >= 1:
             raise ValueError("N must be >= 1")
 
-
-def _bundle_for(run, bundle=None):
-    if bundle is None:
-        return steady_state_bundle(run.model, run.theta)
-    return bundle
+    @functools.cached_property
+    def bundle(self):
+        return steady_state_bundle(self.model, self.theta)
 
 
 def coupled_generator(run, p, pp):
@@ -152,26 +155,26 @@ def coupled_generator(run, p, pp):
     return lmat - (1j / run.t) * (p * left_mult(a) - pp * right_mult(a))
 
 
-def trace_kernel(run, p, pp, bundle=None):
+def trace_kernel(run, p, pp):
     """tr(exp(L_{p,pp} N T) rho_ss), by a single dense matrix exponential.
 
     Reference implementation for one pair; grids go through the batched
     backend instead.
     """
-    b = _bundle_for(run, bundle)
+    b = run.bundle
     e = mat_exp(coupled_generator(run, p, pp), run.n * run.t)
     w = vectorize(np.eye(b.dim))
     return complex(w @ (e @ vectorize(b.rho_ss)))
 
 
-def perturbative_kernel(run, p, pp, bundle=None):
+def perturbative_kernel(run, p, pp):
     """Second-order kernel exp(l1 + l2) built from the steady-state bundle.
 
     With c = tr(A S(A rho_ss)) and x = p - pp this is
     exp(-i x N <A> + (N/T) x^2 Re c + i (N/T) x (p + pp) Im c); the
     remainder of the exact kernel is O(N/T^2).
     """
-    b = _bundle_for(run, bundle)
+    b = run.bundle
     coeff = dissipation_coefficient(b, run.observable)
     mean_a = b.expectation(run.observable)
     p = np.asarray(p, dtype=float)
@@ -230,10 +233,11 @@ def _invariant_basis(start, generators):
     return np.array(basis).T
 
 
-def _generator_terms(run, bundle):
+def _generator_terms(run):
     """(base, lin_p, lin_pp, w, v) of the kernel
     K(p, pp) = w . exp(base + p lin_p + pp lin_pp) . v."""
     a = run.observable
+    bundle = run.bundle
     return (
         bundle.liouvillian * (run.n * run.t),
         -1j * run.n * left_mult(a),
@@ -266,14 +270,14 @@ def _minimal_realization(base, lin_p, lin_pp, w, v):
     return reduced, bool(drift <= REDUCTION_RTOL * np.linalg.norm(lin_p))
 
 
-def _grid_kernels(run, bundle, p1, p2, idx_k):
+def _grid_kernels(run, p1, p2, idx_k):
     """Exact kernels at the half-plane pairs (p1, p2), p1 - p2 = idx_k dp.
 
     The coupled generator is cut to its minimal realization first. When the
     kernel depends on x = p - p' alone, one kernel per grid offset k is
     computed at x = k dp and scattered with idx_k.
     """
-    mats, x_only = _minimal_realization(*_generator_terms(run, bundle))
+    mats, x_only = _minimal_realization(*_generator_terms(run))
     base, lin_p, lin_pp, w, v = mats
     if x_only:
         p = run.apparatus.p_grid()
@@ -282,6 +286,27 @@ def _grid_kernels(run, bundle, p1, p2, idx_k):
             base, lin_p, lin_pp, x, np.zeros_like(x), w, v
         )[idx_k]
     return kernels.trace_kernels(base, lin_p, lin_pp, p1, p2, w, v)
+
+
+def _half_plane_kernels(run, kernel_source):
+    """Kernels from ``kernel_source`` on the half plane of the run's p grid.
+
+    Returns the grid p, the index pairs (idx_i, idx_k) of ``_half_plane``, the
+    offsets x = p_i - p_j and the kernel at every pair (p_i, p_j).
+    """
+    app = run.apparatus
+    _check_tail(app)
+    p = app.p_grid()
+    idx_i, idx_k = _half_plane(app)
+    p1 = p[idx_i]
+    p2 = p[idx_i - idx_k]
+    if kernel_source == "exact":
+        kv = _grid_kernels(run, p1, p2, idx_k)
+    elif kernel_source == "perturbative":
+        kv = perturbative_kernel(run, p1, p2)
+    else:
+        kv = np.exp(-1j * (p1 - p2) * run.n * run.bundle.expectation(run.observable))
+    return p, idx_i, idx_k, p1 - p2, kv
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,7 +366,7 @@ def _hermitian_chirp_sum(c, dp, q0, dq, count):
     return 2.0 * (chirp[:count] * y).real - c[0].real
 
 
-def pointer_distribution(run, kernel_source="exact", bundle=None):
+def pointer_distribution(run, kernel_source="exact"):
     """Pointer density Pr(q) for a run, from one of three kernel sources.
 
     kernel_source:
@@ -355,23 +380,9 @@ def pointer_distribution(run, kernel_source="exact", bundle=None):
     """
     if kernel_source not in ("exact", "perturbative", "ideal"):
         raise ValueError(f"unknown kernel source {kernel_source!r}")
-    b = _bundle_for(run, bundle)
     app = run.apparatus
-    _check_tail(app)
-    p = app.p_grid()
+    p, idx_i, idx_k, _, kv = _half_plane_kernels(run, kernel_source)
     dp = p[1] - p[0]
-    idx_i, idx_k = _half_plane(app)
-    p1 = p[idx_i]
-    p2 = p[idx_i - idx_k]
-    mean_a = b.expectation(run.observable)
-
-    if kernel_source == "exact":
-        kv = _grid_kernels(run, b, p1, p2, idx_k)
-    elif kernel_source == "perturbative":
-        kv = perturbative_kernel(run, p1, p2, bundle=b)
-    else:
-        kv = np.exp(-1j * (p1 - p2) * run.n * mean_a)
-
     phi = _phi(app, p)
     contrib = phi[idx_i] * phi[idx_i - idx_k] * kv
     k = app.p_points
@@ -379,7 +390,7 @@ def pointer_distribution(run, kernel_source="exact", bundle=None):
         np.bincount(idx_k, weights=contrib.real, minlength=k)
         + 1j * np.bincount(idx_k, weights=contrib.imag, minlength=k)
     ) * dp
-    q = app.q_grid(center=run.n * mean_a)
+    q = app.q_grid(center=run.n * run.bundle.expectation(run.observable))
     step = (q[-1] - q[0]) / (q.size - 1)
     density = (dp / (2.0 * np.pi)) * _hermitian_chirp_sum(
         c_half, dp, q[0], step, q.size
@@ -425,7 +436,7 @@ def variance_closed_form(bundle, a, sigma, n, t):
     )
 
 
-def nonadiabaticity(run, bundle=None):
+def nonadiabaticity(run):
     """Root-mean-square kernel deviation Delta from the ideal phase (N=1).
 
     Delta^2 = int dp dp' |phi(p)|^2 |phi(p')|^2 |K(p,p') - exp(-i(p-p')<A>)|^2,
@@ -433,18 +444,9 @@ def nonadiabaticity(run, bundle=None):
     """
     if run.n != 1:
         raise ValueError("non-adiabaticity is defined for N=1 runs")
-    b = _bundle_for(run, bundle)
-    app = run.apparatus
-    _check_tail(app)
-    p = app.p_grid()
-    dp = p[1] - p[0]
-    idx_i, idx_k = _half_plane(app)
-    p1 = p[idx_i]
-    p2 = p[idx_i - idx_k]
-    mean_a = b.expectation(run.observable)
-    kv = _grid_kernels(run, b, p1, p2, idx_k)
-    dev2 = np.abs(kv - np.exp(-1j * (p1 - p2) * mean_a)) ** 2
-    w2 = _phi(app, p) ** 2 * dp
+    p, idx_i, idx_k, x, kv = _half_plane_kernels(run, "exact")
+    dev2 = np.abs(kv - np.exp(-1j * x * run.bundle.expectation(run.observable))) ** 2
+    w2 = _phi(run.apparatus, p) ** 2 * (p[1] - p[0])
     mult = np.where(idx_k == 0, 1.0, 2.0)
     delta2 = float(np.sum(mult * w2[idx_i] * w2[idx_i - idx_k] * dev2))
     return math.sqrt(delta2)

@@ -36,7 +36,7 @@ from .estimation import (
     mc_dam_error,
     steady_expectation_link,
 )
-from .models import dissipation_coefficient, steady_state_bundle
+from .models import dissipation_coefficient
 from .pointer import DamRun, nonadiabaticity
 from .scenario import scenario_runs
 
@@ -224,10 +224,7 @@ def scaling_sweep(scn):
             )
         )
 
-        bundles = [steady_state_bundle(r.model, r.theta) for r in runs]
-        avec = np.array(
-            [b.expectation(a) for b, (_, a) in zip(bundles, scn.observables)]
-        )
+        avec = np.array([r.bundle.expectation(r.observable) for r in runs])
         jinv = np.asarray(link.jacobian_inverse(avec), dtype=float)
         floor = float(
             scn.apparatus.sigma * np.sqrt((jinv**2).sum()) / n
@@ -280,7 +277,6 @@ def nonadiabaticity_sweep(scn):
     if scn.model.param_dim != 1:
         raise ValueError("non-adiabaticity sweeps are single-parameter only")
     a = scn.observables[0][1]
-    bundle = steady_state_bundle(scn.model, scn.theta)
     result = SweepResult(
         command="nonadiabaticity", axis="T", scenario_sha256=scn.sha256
     )
@@ -294,7 +290,7 @@ def nonadiabaticity_sweep(scn):
             n=1.0,
             apparatus=scn.apparatus,
         )
-        delta = nonadiabaticity(run, bundle=bundle)
+        delta = nonadiabaticity(run)
         elapsed = (time.perf_counter() - start) * 1e3
         result.rows.append(
             SweepRow(
@@ -302,7 +298,7 @@ def nonadiabaticity_sweep(scn):
                 axis="T",
                 value=float(value),
                 predicted=leading_nonadiabaticity(
-                    bundle, a, scn.apparatus.sigma, value
+                    run.bundle, a, scn.apparatus.sigma, value
                 ),
                 delta=delta,
                 runtime_ms=elapsed,

@@ -238,6 +238,7 @@ def test_singular_jacobian_is_rejected():
         jacobian_inverse=lambda a: np.array([[np.inf]]),
         domain=((0.0, 1.0),),
         image=((0.0, 1.0),),
+        inverse_batch=lambda rows: rows,
     )
     with pytest.raises(ValueError):
         multiparam_error_formula([b], [A], bad, 0.1, 10, 500.0)
@@ -341,16 +342,25 @@ def test_chi2_quantiles_match_scipy_stats():
     assert hi == pytest.approx(0.1 * np.sqrt(1000 / chi2.ppf(0.025, 1000)), rel=1e-14)
 
 
-def test_import_leaves_scipy_stats_unloaded():
+def loaded_after_cli_import(module):
+    """Whether ``import damlab.cli`` loads ``module``, in a fresh interpreter."""
     src_root = str(Path(damlab.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src_root + (os.pathsep + path if path else ""))
-    code = "import sys, damlab.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, damlab.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    assert not loaded_after_cli_import("scipy.stats")
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    assert not loaded_after_cli_import("scipy.linalg")
 
 
 def test_povm_baseline():
@@ -420,6 +430,12 @@ def test_channel_decomposition_defect():
         gad_channel_decomposition_check(1.0, 1.0)
     with pytest.raises(ValueError):
         gad_channel_decomposition_check(0.3, -1.0)
+
+
+def test_channel_overflow_is_reported():
+    growing = np.diag([2000.0, 2000.0]).astype(complex)
+    with pytest.raises(OverflowError):
+        estimation._channels([growing], 1.0)
 
 
 def test_output_bound_random_probes():

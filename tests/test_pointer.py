@@ -136,24 +136,22 @@ def test_coupled_generator_reduces_to_liouvillian():
 
 def test_kernel_symmetry_and_normalization():
     run = gad_run(t=100.0, n=2)
-    b = steady_state_bundle(run.model, run.theta)
-    k1 = trace_kernel(run, 1.3, -0.4, bundle=b)
-    k2 = trace_kernel(run, -0.4, 1.3, bundle=b)
+    k1 = trace_kernel(run, 1.3, -0.4)
+    k2 = trace_kernel(run, -0.4, 1.3)
     assert abs(k1 - np.conj(k2)) <= 1e-12
-    assert abs(trace_kernel(run, 0.7, 0.7, bundle=b) - 1.0) <= 1e-12
-    assert abs(perturbative_kernel(run, 0.7, 0.7, bundle=b) - 1.0) <= 1e-14
+    assert abs(trace_kernel(run, 0.7, 0.7) - 1.0) <= 1e-12
+    assert abs(perturbative_kernel(run, 0.7, 0.7) - 1.0) <= 1e-14
     assert abs(k1) <= 1.0 + 1e-12
 
 
 def test_perturbative_kernel_approaches_exact():
     for t, bound in ((200.0, 2e-4), (800.0, 2e-5)):
         run = gad_run(t=t)
-        b = steady_state_bundle(run.model, run.theta)
         worst = 0.0
         for p, pp in ((0.5, -0.5), (2.0, 1.0), (-1.5, -3.0)):
             gap = abs(
-                trace_kernel(run, p, pp, bundle=b)
-                - complex(perturbative_kernel(run, p, pp, bundle=b))
+                trace_kernel(run, p, pp)
+                - complex(perturbative_kernel(run, p, pp))
             )
             worst = max(worst, gap)
         assert worst <= bound
@@ -226,7 +224,7 @@ def test_driven_variance_needs_imaginary_term():
         n=5,
         apparatus=default_apparatus(0.1),
     )
-    d = pointer_distribution(run, bundle=b)
+    d = pointer_distribution(run)
     full = variance_closed_form(b, A_TILTED, 0.1, 5, 1000.0)
     truncated = 0.01 - 2.0 * 5 / 1000.0 * c.real
     assert abs(d.variance - full) / full <= 3e-4
@@ -249,7 +247,7 @@ def test_mean_shift_envelope():
             n=1,
             apparatus=default_apparatus(0.1),
         )
-        d = pointer_distribution(run, bundle=b)
+        d = pointer_distribution(run)
         shift = abs(d.mean - mean_a)
         assert shift <= 5.0 / t + 1e-9
         shifts.append(shift)
@@ -353,20 +351,18 @@ def test_distribution_matches_dense_fourier_oracle(monkeypatch):
             ),
         )
         for run in runs:
-            b = steady_state_bundle(run.model, run.theta)
             for source in ("exact", "perturbative", "ideal"):
-                d = pointer_distribution(run, kernel_source=source, bundle=b)
+                d = pointer_distribution(run, kernel_source=source)
                 with monkeypatch.context() as m:
                     m.setattr(pointer, "_hermitian_chirp_sum", dense_hermitian_sum)
-                    ref = pointer_distribution(run, kernel_source=source, bundle=b)
+                    ref = pointer_distribution(run, kernel_source=source)
                 assert np.abs(d.density - ref.density).max() <= 1e-12
 
 
 def test_exact_vs_perturbative_total_variation():
     run = gad_run(t=500.0, n=5)
-    b = steady_state_bundle(gad_model(), (0.3,))
-    de = pointer_distribution(run, bundle=b)
-    dp = pointer_distribution(run, kernel_source="perturbative", bundle=b)
+    de = pointer_distribution(run)
+    dp = pointer_distribution(run, kernel_source="perturbative")
     tv = 0.5 * float(np.abs(de.cell_masses() - dp.cell_masses()).sum())
     assert tv <= 1e-3
 
@@ -493,18 +489,18 @@ def random_runs(draw):
 def test_reduced_grid_matches_dense_oracle(run_and_kind):
     run, population = run_and_kind
     try:
-        b = steady_state_bundle(run.model, run.theta)
+        run.bundle
     except ValueError:
         reject()
     app = run.apparatus
     p = app.p_grid()
     idx_i, idx_k = _half_plane(app)
     p1, p2 = p[idx_i], p[idx_i - idx_k]
-    kv = _grid_kernels(run, b, p1, p2, idx_k)
-    oracle = np.array([trace_kernel(run, x, y, bundle=b) for x, y in zip(p1, p2)])
+    kv = _grid_kernels(run, p1, p2, idx_k)
+    oracle = np.array([trace_kernel(run, x, y) for x, y in zip(p1, p2)])
     assert np.abs(kv - oracle).max() <= 1e-12
 
-    base, lin_p, lin_pp, w, v = _generator_terms(run, b)
+    base, lin_p, lin_pp, w, v = _generator_terms(run)
     mats, x_only = _minimal_realization(base, lin_p, lin_pp, w, v)
     assert x_only == population
     if mats[0].shape == base.shape:

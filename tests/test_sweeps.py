@@ -1,9 +1,11 @@
 import dataclasses
 import json
 import math
+import sys
 
 import pytest
 
+import damlab.models
 from damlab.models import EXCITED_PROJECTOR, gad_model, steady_state_bundle
 from damlab.scenario import load_scenario
 from damlab.svgplot import LineChart
@@ -123,6 +125,33 @@ def test_scaling_sweep_theta_axis(tmp_path):
         round(math.sqrt(0.21 / 10.0), 12),
         round(math.sqrt(0.25 / 10.0), 12),
     ]
+
+
+def test_scaling_sweep_builds_one_bundle_per_run(tmp_path, monkeypatch):
+    # two pointers (one per qubit) at each of two N points: four runs, and
+    # each run's steady state is built once, wherever in damlab it is read
+    path = tmp_path / "product.ini"
+    path.write_text(
+        "[model]\nname = product_gad_2\ntheta = 0.3, 0.6\n"
+        "observable = excited@1, excited@2\n[apparatus]\nsigma = 0.1\n"
+        "[run]\nt = 500\nn = 10\ntrials = 200\nseed = 1\n"
+        "[sweep]\naxis = N\nvalues = 10, 20\n"
+    )
+    scn = load_scenario(path)
+    calls = []
+
+    def counted(model, theta, *args, **kwargs):
+        calls.append(tuple(theta))
+        return steady_state_bundle(model, theta, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("damlab") and mod is not None:
+            if getattr(mod, "steady_state_bundle", None) is steady_state_bundle:
+                monkeypatch.setattr(mod, "steady_state_bundle", counted)
+    assert damlab.models.steady_state_bundle is counted
+    result = scaling_sweep(scn)
+    assert len([r for r in result.rows if r.series == "dam"]) == 2
+    assert calls == [(0.3, 0.6)] * 4
 
 
 def test_scaling_sweep_needs_sweep_section(tmp_path):
