@@ -64,7 +64,7 @@ def expm_batch(a):
     big = norms > _THETA13
     s[big] = np.ceil(np.log2(norms[big] / _THETA13)).astype(np.int64)
     out = np.empty_like(a)
-    for sv in np.unique(s):
+    for sv in sorted(set(s.tolist())):  # np.unique would import numpy.ma
         idx = np.flatnonzero(s == sv)
         r = _pade13(a[idx] * (2.0 ** -float(sv)))
         for _ in range(int(sv)):

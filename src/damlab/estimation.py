@@ -7,12 +7,14 @@ multi-parameter error measure is the root of the summed componentwise mean
 squared deviations.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.special import gammaincinv
+# numpy loads it lazily; load it with damlab, not inside the first run
+import numpy.random
 
 from ._kernels_py import expm_batch
 from .models import gad_model, product_gad_model
@@ -315,9 +317,111 @@ class EstimationReport:
     notes: dict
 
 
+CHI2_MAX_STEPS = 40
+CHI2_STEP_TOL = 1e-11
+
+# B_2k / (2k (2k - 1)), k = 1..7: lgamma(a + 1) = (a + 1/2) log a - a
+# + log(2 pi) / 2 + sum_k c_k a^(1 - 2k); the first omitted term is below
+# 3e-17 for a >= 10
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _gamma_prefactor(a, x):
+    """x^a e^-x / Gamma(a + 1), to a few ulp also for large a."""
+    if a < 10.0:
+        return math.exp(a * math.log(x) - x - math.lgamma(a + 1.0))
+    # a log(x / a) - (x - a) = -a (u - log1p u), u = (x - a) / a; the terms
+    # of a log x - x - lgamma(a + 1) would cancel to about a log a ulp, while
+    # the rounding of log1p, about |x - a| ulp, is large only in the tails,
+    # where P depends least on x
+    u = (x - a) / a
+    corr = 0.0
+    for c in reversed(_STIRLING):
+        corr = corr / (a * a) + c
+    return math.exp(-a * (u - math.log1p(u)) - corr / a) / math.sqrt(2.0 * math.pi * a)
+
+
+def _gamma_lower_series(a, x):
+    """P(a, x) / prefactor = sum_n x^n / ((a + 1) ... (a + n)), for x < a + 1."""
+    term = total = 1.0
+    n = 1.0
+    while term > 1e-17 * total:
+        term *= x / (a + n)
+        total += term
+        n += 1.0
+    return total
+
+
+def _gamma_upper_fraction(a, x):
+    """Q(a, x) / (a prefactor) by the Lentz continued fraction, for x >= a + 1."""
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = h = 1.0 / b
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= tiny else tiny)
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= 3e-16:
+            return h
+
+
 def _chi2_ppf(q, dof):
-    """Quantile of the chi-squared law, 2 P^{-1}(dof / 2, q)."""
-    return 2.0 * gammaincinv(dof / 2.0, q)
+    """Quantile of the chi-squared law, x = 2 P^{-1}(dof / 2, q).
+
+    Newton steps in log x on the regularized incomplete gamma function P, or
+    on Q = 1 - P when q > 1/2 (1 - q is exact there), from a Wilson-Hilferty
+    start. P comes from its series below x = a + 1 and Q from its continued
+    fraction above. For dof >= 1 the result is within 5e-15 relative of the
+    exact quantile. Raises ValueError unless 0 < q < 1 and dof is finite and
+    positive, and RuntimeError when the steps do not settle within
+    CHI2_MAX_STEPS.
+    """
+    q = float(q)
+    dof = float(dof)
+    if not (0.0 < q < 1.0 and math.isfinite(dof) and dof > 0.0):
+        raise ValueError(
+            f"chi-squared quantile needs 0 < q < 1 and a finite dof > 0, "
+            f"got q={q!r}, dof={dof!r}"
+        )
+    a = 0.5 * dof
+    upper = q > 0.5
+    qc = 1.0 - q
+    if a > 1.0:
+        # normal quantile of min(q, 1 - q) by Abramowitz-Stegun 26.2.22
+        t = math.sqrt(-2.0 * math.log(qc if upper else q))
+        z = t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t))
+        z = z if upper else -z
+        x = max(1e-3 * a, a * (1.0 - 1.0 / (9.0 * a) + z / (3.0 * math.sqrt(a))) ** 3)
+    else:
+        # P is close to x^a / Gamma(a + 1) low and to 1 - e^-x high
+        t = 1.0 - a * (0.253 + 0.12 * a)
+        x = (q / t) ** (1.0 / a) if q < t else 1.0 - math.log(qc / (1.0 - t))
+    for _ in range(CHI2_MAX_STEPS):
+        pre = _gamma_prefactor(a, x)
+        if x < a + 1.0:
+            r = pre * _gamma_lower_series(a, x) - q
+        else:
+            upper_q = a * pre * _gamma_upper_fraction(a, x)
+            r = qc - upper_q if upper else (1.0 - upper_q) - q
+        # r / (dP / d log x); a step changes x by at most a factor e, also
+        # where the density underflows
+        r = max(-1.0, min(1.0, r / (a * pre))) if pre > 0.0 else math.copysign(1.0, r)
+        x *= math.exp(-r)
+        if abs(r) <= CHI2_STEP_TOL:
+            return 2.0 * x
+    raise RuntimeError(
+        f"chi-squared quantile did not converge in {CHI2_MAX_STEPS} steps "
+        f"(q={q!r}, dof={dof!r})"
+    )
 
 
 def _chi2_ci(err, dof, alpha=0.05):

@@ -29,6 +29,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads these lazily; load them with damlab, not inside the first run
+import numpy.fft
+import numpy.random
 
 from .backend import kernels
 from .models import LindbladModel, dissipation_coefficient, steady_state_bundle

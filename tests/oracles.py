@@ -66,6 +66,20 @@ def extended_hermitian_sum(c, dp, q0, dq, count):
     return 2 * terms[:, 1:].sum(axis=1) + re[0]
 
 
+def chi2_quantile_error(x, q, dof):
+    """First-order relative error of x as the q quantile of chi-squared with
+    dof degrees of freedom, (F(x) - q) / (x F'(x)), in 40-digit arithmetic."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        a, y = mpmath.mpf(dof) / 2, mpmath.mpf(x) / 2
+        if q > 0.5:  # against the upper tail, as 1 - q is exact there
+            res = (1 - mpmath.mpf(q)) - mpmath.gammainc(a, y, mpmath.inf, regularized=True)
+        else:
+            res = mpmath.gammainc(a, 0, y, regularized=True) - mpmath.mpf(q)
+        return float(res / mpmath.exp(a * mpmath.log(y) - y - mpmath.loggamma(a)))
+
+
 def random_operator(rng, d):
     return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -40,7 +40,7 @@ from damlab.models import (
 from damlab.operators import devectorize, vectorize
 from damlab.pointer import DamRun, default_apparatus
 
-from oracles import random_density
+from oracles import chi2_quantile_error, random_density
 
 A = EXCITED_PROJECTOR
 
@@ -342,25 +342,79 @@ def test_chi2_quantiles_match_scipy_stats():
     assert hi == pytest.approx(0.1 * np.sqrt(1000 / chi2.ppf(0.025, 1000)), rel=1e-14)
 
 
-def loaded_after_cli_import(module):
-    """Whether ``import damlab.cli`` loads ``module``, in a fresh interpreter."""
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 10**6), st.floats(1e-6, 1.0 - 1e-6))
+@example(10**6, 1e-6)
+@example(2 * 10**5, 0.5)
+@example(20, 0.5)  # a = 10, the first dof of the Stirling prefactor
+def test_chi2_quantile_matches_gammaincinv(dof, q):
+    from scipy.special import gammaincinv
+
+    got = _chi2_ppf(q, dof)
+    ref = 2.0 * gammaincinv(dof / 2.0, q)
+    if got != pytest.approx(ref, rel=1e-14):
+        # scipy.special loses digits in the far lower tail above dof ~ 5e5
+        # (5e-12 relative at dof 1e6, q 1e-6); there 40-digit arithmetic
+        # decides, and must find ours the accurate one
+        assert abs(chi2_quantile_error(got, q, dof)) <= 1e-14
+        assert abs(chi2_quantile_error(ref, q, dof)) > 1e-14
+
+
+@pytest.mark.parametrize(
+    "q, dof",
+    [(0.0, 10), (1.0, 10), (-0.5, 10), (1.5, 10), (0.5, 0), (0.5, -4),
+     (np.nan, 10), (np.inf, 10), (0.5, np.nan), (0.5, np.inf)],
+)
+def test_chi2_quantile_rejects_bad_input(q, dof):
+    with pytest.raises(ValueError, match="chi-squared quantile"):
+        _chi2_ppf(q, dof)
+
+
+@pytest.mark.parametrize("steps", [0, 1])
+def test_chi2_quantile_raises_when_not_converged(monkeypatch, steps):
+    monkeypatch.setattr(estimation, "CHI2_MAX_STEPS", steps)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        _chi2_ppf(0.025, 1000)
+
+
+def run_fresh(code):
+    """Standard output of ``code`` in a fresh interpreter importing this damlab."""
     src_root = str(Path(damlab.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src_root + (os.pathsep + path if path else ""))
-    code = f"import sys, damlab.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )
     assert out.returncode == 0, out.stderr
-    return out.stdout.strip() == "True"
+    return out.stdout
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    assert not loaded_after_cli_import("scipy.stats")
+def loaded_after_cli_import(prefix):
+    """Modules ``prefix`` and below it that ``import damlab.cli`` loads."""
+    names = run_fresh("import sys, damlab.cli; print(*sys.modules)").split()
+    return [m for m in names if m == prefix or m.startswith(prefix + ".")]
 
 
-def test_import_leaves_scipy_linalg_unloaded():
-    assert not loaded_after_cli_import("scipy.linalg")
+def test_import_leaves_scipy_unloaded():
+    assert loaded_after_cli_import("scipy") == []
+
+
+def test_scaling_run_imports_no_module(tmp_path):
+    cfg = tmp_path / "scn.ini"
+    cfg.write_text(
+        "[model]\nname = gad\ntheta = 0.3\nobservable = excited\n"
+        "[apparatus]\nsigma = 0.1\n"
+        "[run]\nt = 500\nn = 1\ntrials = 100\nseed = 3\n"
+        "[sweep]\naxis = N\nvalues = 1, 2\n"
+    )
+    argv = ["scaling", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    out = run_fresh(
+        "import sys, damlab.cli\n"
+        "before = set(sys.modules)\n"
+        f"code = damlab.cli.main({argv!r})\n"
+        "print(code, *sorted(set(sys.modules) - before))\n"
+    )
+    assert out.splitlines()[-1] == "0"
 
 
 def test_povm_baseline():
