@@ -399,6 +399,14 @@ def test_import_leaves_scipy_unloaded():
     assert loaded_after_cli_import("scipy") == []
 
 
+def test_import_leaves_scipy_stats_unloaded():
+    assert loaded_after_cli_import("scipy.stats") == []
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    assert loaded_after_cli_import("scipy.linalg") == []
+
+
 def test_scaling_run_imports_no_module(tmp_path):
     cfg = tmp_path / "scn.ini"
     cfg.write_text(
