@@ -34,7 +34,6 @@ from .models import (
     steady_state_bundle,
 )
 from .operators import (
-    SpectrumReport,
     devectorize,
     is_density_matrix,
     is_hermitian,
@@ -42,7 +41,6 @@ from .operators import (
     lindblad_superoperator,
     mat_exp,
     right_mult,
-    spectrum,
     vectorize,
 )
 from .pointer import (
@@ -70,7 +68,6 @@ from .sweeps import (
 __all__ = [
     "__version__",
     "KERNEL_BACKEND",
-    "SpectrumReport",
     "vectorize",
     "devectorize",
     "left_mult",
@@ -79,7 +76,6 @@ __all__ = [
     "is_density_matrix",
     "lindblad_superoperator",
     "mat_exp",
-    "spectrum",
     "LindbladModel",
     "SteadyStateBundle",
     "gad_model",

@@ -11,6 +11,8 @@ figure makes sense) into the output directory, and prints a short summary;
 
 import argparse
 import json
+# argparse's gettext loads it lazily; load it with damlab, not inside the run
+import locale  # noqa: F401
 import sys
 from pathlib import Path
 
@@ -25,7 +27,8 @@ from .acceptance import (
 )
 from .backend import KERNEL_BACKEND
 from .estimation import qfi_output_bound_check
-from .models import steady_state_bundle, dissipation_coefficient
+from .models import _bordered_solve, dissipation_coefficient, steady_state_bundle
+from .operators import vectorize
 from .pointer import pointer_distribution
 from .scenario import ScenarioError, load_scenario, scenario_runs
 from .svgplot import LineChart
@@ -92,9 +95,10 @@ def cmd_steady(scn, args, out_dir):
         coeffs[label] = c
         rows.append((f"backaction_re[{label}]", "", "", c.real))
         rows.append((f"backaction_im[{label}]", "", "", c.imag))
-    residual = float(
-        np.abs(bundle.liouvillian @ bundle.S - bundle.Q).max()
-    )
+    # S on the basis: the bordered solve of L S = Q with tr S = 0
+    q = np.eye(d * d) - np.outer(vectorize(bundle.rho_ss), vectorize(np.eye(d)))
+    s_mat = _bordered_solve(bundle.liouvillian, q, 0.0)
+    residual = float(np.abs(bundle.liouvillian @ s_mat - q).max())
     rows.append(("pseudoinverse_residual", "", "", residual))
     csv_path = out_dir / "steady.csv"
     write_csv(

@@ -17,7 +17,7 @@ import numpy as np
 import numpy.random
 
 from ._kernels_py import expm_batch
-from .models import gad_model, product_gad_model
+from .models import _bordered_solve, _steady_gaps, gad_model, product_gad_model
 from .operators import devectorize, is_density_matrix, is_hermitian, vectorize
 from .pointer import DamRun, pointer_distribution, sample_pointer, variance_closed_form
 
@@ -87,6 +87,10 @@ def identity_link(domain=((0.0, 1.0),)):
 
 NEWTON_MAX_STEPS = 60
 NEWTON_RTOL = 1e-13
+# the steady link's seed table: thetas spaced evenly on the domain shrunk by
+# LINK_MARGIN_REL of its width at each end
+LINK_TABLE_POINTS = 401
+LINK_MARGIN_REL = 1e-6
 
 
 def _affine_split(model):
@@ -106,26 +110,25 @@ def _affine_split(model):
     return l0, l1
 
 
-def steady_expectation_link(model, a, table_points=401, margin_rel=1e-6):
+def steady_expectation_link(model, a):
     """Exact link theta -> tr(A rho_ss(theta)) for a single-parameter model.
 
     The model's Liouvillian must be affine in theta, L = L0 + theta L1 (true
-    of every built-in and JSON model). rho_ss solves L rho = 0 with its first
-    row replaced by the trace border tr(rho) = 1, batched over thetas; the
-    derivative is the linear response d rho = -S L1 rho, which solves the
-    same bordered system with tr(d rho) = 0. The inverse seeds from a
-    monotone table and runs a safeguarded Newton iteration on all readings
-    at once until |f - a| <= NEWTON_RTOL ||A||; readings not converged after
-    NEWTON_MAX_STEPS raise RuntimeError.
+    of every built-in and JSON model). rho_ss is the models' bordered solve
+    with trace 1, batched over thetas; the derivative is the linear response
+    d rho = -S L1 rho, the same bordered solve with trace 0. The inverse
+    seeds from a monotone table of LINK_TABLE_POINTS thetas, checked by the
+    models' zero-mode/gap rule, and runs a safeguarded Newton iteration on
+    all readings at once until |f - a| <= NEWTON_RTOL ||A||; readings not
+    converged after NEWTON_MAX_STEPS raise RuntimeError.
     """
     if model.param_dim != 1:
         raise ValueError("numeric links are single-parameter only")
     a = np.asarray(a, dtype=complex)
     l0, l1 = _affine_split(model)
     lo, hi = model.param_domain[0]
-    margin = margin_rel * (hi - lo)
-    grid = np.linspace(lo + margin, hi - margin, int(table_points))
-    trace_row = vectorize(np.eye(model.system_dim))
+    margin = LINK_MARGIN_REL * (hi - lo)
+    grid = np.linspace(lo + margin, hi - margin, LINK_TABLE_POINTS)
     a_row = vectorize(a.T)  # a_row @ vec(rho) = tr(A rho)
     tol = NEWTON_RTOL * np.linalg.norm(a, 2)  # ||A|| bounds |f|
 
@@ -134,27 +137,12 @@ def steady_expectation_link(model, a, table_points=401, margin_rel=1e-6):
 
     def solve(lmats):
         """f and df/dtheta for a stack of Liouvillians."""
-        border = lmats.copy()
-        border[:, 0, :] = trace_row
-        rhs = np.zeros(border.shape[:2] + (1,), dtype=complex)
-        rhs[:, 0] = 1.0
-        rho = np.linalg.solve(border, rhs)
-        rhs = -(l1 @ rho)
-        rhs[:, 0] = 0.0
-        drho = np.linalg.solve(border, rhs)
+        rho = _bordered_solve(lmats, np.zeros(lmats.shape[:2] + (1,)), 1.0)
+        drho = _bordered_solve(lmats, -(l1 @ rho), 0.0)
         return (rho[..., 0] @ a_row).real, (drho[..., 0] @ a_row).real
 
     lmats = liouvillians(grid)
-    evals = np.linalg.eigvals(lmats)
-    radius = np.abs(evals).max(axis=1)
-    zero = np.abs(evals) <= 1e-9 * radius[:, None]
-    gap = -np.where(zero, -np.inf, evals.real).max(axis=1)
-    bad = (zero.sum(axis=1) != 1) | (gap <= 1e-9 * radius)
-    if bad.any():
-        raise ValueError(
-            f"model {model.name!r} has no unique gapped steady state at "
-            f"theta={grid[np.argmax(bad)]:.6g}"
-        )
+    _steady_gaps(lmats, model.name, grid)
     table, _ = solve(lmats)
     d = np.diff(table)
     if np.all(d > 0):

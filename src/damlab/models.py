@@ -2,14 +2,17 @@
 
 A model maps a parameter vector theta to a GKLS triple (H, jump operators,
 rates). For a model with a unique steady state rho and dissipative gap g > 0
-the bundle below collects
+the bundle below holds rho, g and the Liouvillian L, and applies the group
+pseudoinverse S, the inverse of L on traceless operators (L S = S L = Q with
+Q x = x - tr(x) rho, and tr S(x) = 0).
 
-    P = |vec(rho)><vec(I)|      projector onto the steady direction,
-    Q = 1 - P,
-    S = Q (L + P)^-1 Q          inverse of L on the image of Q,
-
-which satisfy L S = S L = Q and S P = P S = 0. S is computed from the
-bordered resolvent rather than by integrating -exp(t L) Q, which is kept as a
+Both rho and S(x) come from one bordered solve: L y = b with the first row
+of L replaced by the trace row vec(I)^T and the first entry of b by the
+target trace (1 for rho, 0 for S(x) with b = Q x). Trace preservation makes
+the replaced row redundant whenever tr b = 0, so the solve is exact. The
+steady link in ``estimation`` batches the same solve over theta. The
+zero-mode/gap rule (:func:`_steady_gaps`) guards every steady state; no
+dense P, Q or S is formed. The integral -int exp(t L) Q dt is kept as a
 test oracle only.
 """
 
@@ -18,13 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import (
-    devectorize,
-    is_hermitian,
-    lindblad_superoperator,
-    spectrum,
-    vectorize,
-)
+from .operators import devectorize, is_hermitian, lindblad_superoperator, vectorize
 
 __all__ = [
     "LindbladModel",
@@ -39,6 +36,10 @@ __all__ = [
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 EXCITED_PROJECTOR = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+
+# zero modes and the gap are measured against STEADY_TOL times the spectral
+# radius; steady-state eigenvalues in [-STEADY_TOL, 0) are rounding dust
+STEADY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -67,10 +68,53 @@ class LindbladModel:
         return lindblad_superoperator(h, jumps)
 
 
+def _steady_gaps(lmats, name, thetas):
+    """Dissipative gaps of a stack of Liouvillians (n, d^2, d^2).
+
+    Each must have exactly one eigenvalue with |lambda| <= STEADY_TOL times
+    its spectral radius, and a gap -max Re lambda over the others above that
+    threshold. Raises ValueError at the first theta (row of ``thetas``) that
+    fails, naming model ``name``.
+    """
+    evals = np.linalg.eigvals(lmats)
+    cutoff = STEADY_TOL * np.abs(evals).max(axis=-1)
+    zero = np.abs(evals) <= cutoff[:, None]
+    modes = zero.sum(axis=-1)
+    gaps = -np.where(zero, -np.inf, evals.real).max(axis=-1)
+    bad = (modes != 1) | (gaps <= cutoff)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if modes[k] == evals.shape[-1]:
+            why = "no dissipative gap: no nonzero eigenvalue"
+        elif modes[k] != 1:
+            why = f"degenerate steady space: {modes[k]} zero modes"
+        else:
+            why = f"no dissipative gap (gap {gaps[k]:.3g})"
+        raise ValueError(
+            f"model {name!r} has no unique gapped steady state at "
+            f"theta={np.atleast_1d(thetas[k]).tolist()}: {why}"
+        )
+    return gaps
+
+
+def _bordered_solve(lmats, rhs, trace):
+    """Solve L y = rhs with tr(y) = trace, batched over leading axes.
+
+    ``lmats`` is (..., d^2, d^2) and ``rhs`` is (..., d^2, k). Row 0 of L
+    becomes vec(I)^T and row 0 of the right-hand side becomes ``trace``.
+    Since vec(I)^T L = 0, the dropped row follows from the others whenever
+    tr(rhs) = 0, so y is exact for a unique steady state.
+    """
+    d = int(round(np.sqrt(lmats.shape[-1])))
+    border = np.array(lmats, dtype=complex)
+    border[..., 0, :] = np.eye(d).ravel()  # vec(I), in either stacking order
+    rhs = np.array(rhs, dtype=complex)
+    rhs[..., 0, :] = trace
+    return np.linalg.solve(border, rhs)
+
+
 def _check_probe_gap(model, probe):
-    rep = spectrum(model.liouvillian(probe))
-    if len(rep.zero_modes) != 1 or rep.gap <= 0:
-        raise ValueError(f"model {model.name!r} has no unique gapped steady state")
+    _steady_gaps(model.liouvillian(probe)[None], model.name, [probe])
     return model
 
 
@@ -136,13 +180,10 @@ def product_gad_model(m):
 
 @dataclass(frozen=True)
 class SteadyStateBundle:
-    """Steady state rho_ss, gap, and the superoperators P, Q, S of a model."""
+    """Steady state rho_ss, dissipative gap and Liouvillian of a model."""
 
     rho_ss: np.ndarray
     gap: float
-    P: np.ndarray
-    Q: np.ndarray
-    S: np.ndarray
     liouvillian: np.ndarray = field(repr=False)
 
     @property
@@ -154,48 +195,35 @@ class SteadyStateBundle:
         return float(np.trace(np.asarray(a) @ self.rho_ss).real)
 
     def s_apply(self, x):
-        """Apply the pseudoinverse S to an operator."""
-        return devectorize(self.S @ vectorize(x), self.dim)
+        """Apply the pseudoinverse S: solve L y = Q x with tr(y) = 0."""
+        vx = vectorize(x)
+        trace = vx[:: self.dim + 1].sum()  # the diagonal of x
+        qx = vx - trace * self.rho_ss.ravel(order="F")
+        y = _bordered_solve(self.liouvillian, qx[:, None], 0.0)
+        return devectorize(y[:, 0], self.dim)
 
 
-def steady_state_bundle(model, theta, tol=1e-9):
-    """Steady state, gap and pseudoinverse for ``model`` at ``theta``.
+def steady_state_bundle(model, theta):
+    """Steady state, gap and Liouvillian for ``model`` at ``theta``.
 
     Raises on a degenerate steady space (two eigenvalues inside the zero
-    tolerance) or a vanishing gap. The steady state is extracted from the
-    zero-mode eigenvector, Hermitized, trace-normalized, and cleaned of
-    eigenvalue dust in [-tol, 0).
+    tolerance) or a vanishing gap. The steady state comes from the bordered
+    solve with trace 1; it is Hermitized, checked for positivity, cleaned of
+    eigenvalue dust in [-STEADY_TOL, 0) and renormalized.
     """
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
     lmat = model.liouvillian(theta)
-    rep = spectrum(lmat, tol)
-    if len(rep.zero_modes) != 1:
-        raise ValueError(
-            f"degenerate steady space: {len(rep.zero_modes)} zero modes for "
-            f"model {model.name!r} at theta={np.atleast_1d(theta).tolist()}"
-        )
-    radius = np.abs(rep.eigenvalues).max()
-    if rep.gap <= tol * radius:
-        raise ValueError(f"no dissipative gap for model {model.name!r}")
-
-    evals, evecs = np.linalg.eig(lmat)
-    rho = devectorize(evecs[:, int(np.argmin(np.abs(evals)))], model.system_dim)
+    gap = _steady_gaps(lmat[None], model.name, theta[None])[0]
+    d = model.system_dim
+    rho = devectorize(_bordered_solve(lmat, np.zeros((d * d, 1)), 1.0)[:, 0], d)
     rho = (rho + rho.conj().T) / 2.0
-    tr = np.trace(rho).real
-    if abs(tr) < 1e-12:
-        raise ValueError("zero-mode eigenvector has vanishing trace")
-    rho = rho / tr
     w, v = np.linalg.eigh(rho)
-    if w.min() < -tol:
+    if w.min() < -STEADY_TOL:
         raise ValueError(f"steady state not positive (min eigenvalue {w.min():.3g})")
     w = np.clip(w, 0.0, None)
     rho = (v * w) @ v.conj().T
     rho = rho / np.trace(rho).real
-
-    d2 = model.system_dim**2
-    p = np.outer(vectorize(rho), vectorize(np.eye(model.system_dim)).conj())
-    q = np.eye(d2) - p
-    s = q @ np.linalg.solve(lmat + p, q)
-    return SteadyStateBundle(rho_ss=rho, gap=rep.gap, P=p, Q=q, S=s, liouvillian=lmat)
+    return SteadyStateBundle(rho_ss=rho, gap=float(gap), liouvillian=lmat)
 
 
 def gad_pseudoinverse_closed_form(x, theta):

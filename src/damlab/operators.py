@@ -14,12 +14,10 @@ small (d <= 8, so d^2 <= 64) and everything is dense.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SpectrumReport",
     "vectorize",
     "devectorize",
     "left_mult",
@@ -28,7 +26,6 @@ __all__ = [
     "is_density_matrix",
     "lindblad_superoperator",
     "mat_exp",
-    "spectrum",
 ]
 
 
@@ -137,45 +134,3 @@ def mat_exp(m, t):
     if not np.all(np.isfinite(out)):
         raise OverflowError(f"matrix exponential overflowed (t={t}, norm={np.abs(m).max():.3g})")
     return out
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Eigenvalues of a superoperator, split into zero modes and the rest.
-
-    ``eigenvalues`` are sorted by descending real part. ``zero_modes`` are the
-    indices with |lambda| <= tol * spectral_radius, and ``gap`` is
-    -max{Re lambda} over the remaining eigenvalues.
-    """
-
-    eigenvalues: np.ndarray
-    zero_modes: tuple
-    gap: float
-
-    def is_dissipative(self):
-        """True when exactly the zero modes are at zero and the rest decay."""
-        others = np.delete(self.eigenvalues, list(self.zero_modes))
-        return self.gap > 0 and bool(np.all(others.real < 0))
-
-
-def spectrum(m, tol=1e-9):
-    """Spectral report for a superoperator matrix.
-
-    ``tol`` is relative to the spectral radius. Raises when there is no
-    nonzero eigenvalue at all (no gap to report).
-    """
-    m = _as_square(m, "superoperator")
-    try:
-        evals = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigensolver failed: {exc}") from exc
-    order = np.argsort(-evals.real, kind="stable")
-    evals = evals[order]
-    radius = np.abs(evals).max(initial=0.0)
-    cutoff = tol * radius
-    zero = tuple(int(i) for i in np.flatnonzero(np.abs(evals) <= cutoff))
-    if len(zero) == evals.size:
-        raise ValueError("no dissipative gap: spectrum has no nonzero eigenvalue")
-    nonzero = np.delete(evals, list(zero))
-    gap = float(-nonzero.real.max())
-    return SpectrumReport(eigenvalues=evals, zero_modes=zero, gap=gap)

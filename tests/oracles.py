@@ -40,6 +40,25 @@ def superop_from_action(action, d):
     return np.stack(cols, axis=1)
 
 
+def dense_bundle(lmat):
+    """Steady state and dense group pseudoinverse of a Liouvillian, by full
+    eigendecomposition: rho from the zero-mode eigenvector (Hermitized,
+    trace-normalized, eigenvalue dust clipped) and S = Q (L + P)^-1 Q with
+    P = |vec rho><vec I| and Q = 1 - P."""
+    d2 = lmat.shape[0]
+    d = int(round(np.sqrt(d2)))
+    evals, evecs = np.linalg.eig(lmat)
+    rho = evecs[:, int(np.argmin(np.abs(evals)))].reshape((d, d), order="F")
+    rho = (rho + rho.conj().T) / 2.0
+    rho = rho / np.trace(rho).real
+    w, v = np.linalg.eigh(rho)
+    rho = (v * np.clip(w, 0.0, None)) @ v.conj().T
+    rho = rho / np.trace(rho).real
+    p = np.outer(rho.reshape(-1, order="F"), np.eye(d).reshape(-1, order="F"))
+    q = np.eye(d2) - p
+    return rho, q @ np.linalg.solve(lmat + p, q)
+
+
 def gad_pinv_action(x, theta):
     """Closed-form pseudoinverse for the GAD qubit, written out longhand."""
     x = np.asarray(x, dtype=complex)

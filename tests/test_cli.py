@@ -77,6 +77,19 @@ def test_steady_json_payload(tmp_path, capsys):
     assert payload["rho_diag"] == pytest.approx([0.3, 0.7])
 
 
+@pytest.mark.parametrize("config", ["verify.ini", "driven_demo.ini"])
+def test_steady_pseudoinverse_residual_is_tiny(tmp_path, capsys, config):
+    argv = ("steady", "--config", CONFIG_DIR / config)
+    code, _, _ = run_cli(capsys, *argv, "--out", tmp_path / "csv")
+    assert code == 0
+    rows = read_csv(tmp_path / "csv" / "steady.csv")
+    cell = {r["quantity"]: float(r["value"]) for r in rows}
+    assert cell["pseudoinverse_residual"] <= 1e-12
+    code, out, _ = run_cli(capsys, *argv, "--out", tmp_path / "json", "--json")
+    assert code == 0
+    assert json.loads(out)["pseudoinverse_residual"] <= 1e-12
+
+
 def test_dam_distribution_csv_and_svg(tmp_path, capsys):
     cfg = write_cfg(tmp_path, QUICK.format(t=300, extra=""))
     code, out, _ = run_cli(

@@ -40,7 +40,7 @@ from damlab.models import (
 from damlab.operators import devectorize, vectorize
 from damlab.pointer import DamRun, default_apparatus
 
-from oracles import chi2_quantile_error, random_density
+from oracles import chi2_quantile_error, dense_bundle, random_density
 
 A = EXCITED_PROJECTOR
 
@@ -130,7 +130,8 @@ def test_steady_link_matches_bundle_oracle(model_and_a, theta):
         raise
 
     def oracle(th):
-        return steady_state_bundle(model, [th]).expectation(a)
+        rho, _ = dense_bundle(model.liouvillian([th]))
+        return np.trace(a @ rho).real
 
     f = link.forward(np.array([theta]))
     assert abs(f[0] - oracle(theta)) <= 1e-10
@@ -405,6 +406,12 @@ def test_import_leaves_scipy_stats_unloaded():
 
 def test_import_leaves_scipy_linalg_unloaded():
     assert loaded_after_cli_import("scipy.linalg") == []
+
+
+# urllib.parse is left out: the standard library's pathlib imports it
+@pytest.mark.parametrize("prefix", ["urllib.request", "urllib.error", "http"])
+def test_import_leaves_network_modules_unloaded(prefix):
+    assert loaded_after_cli_import(prefix) == []
 
 
 def test_scaling_run_imports_no_module(tmp_path):

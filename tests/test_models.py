@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
+from damlab.estimation import steady_expectation_link
 from damlab.models import (
     EXCITED_PROJECTOR,
+    LindbladModel,
     dissipation_coefficient,
     gad_model,
     gad_pseudoinverse_closed_form,
@@ -11,7 +15,20 @@ from damlab.models import (
 )
 from damlab.operators import devectorize, lindblad_superoperator, mat_exp, vectorize
 
-from oracles import gad_pinv_action, random_hermitian, random_operator
+from oracles import (
+    dense_bundle,
+    gad_pinv_action,
+    random_hermitian,
+    random_operator,
+    superop_from_action,
+)
+from test_estimation import affine_models
+
+
+def projectors(b):
+    """Dense P = |vec rho_ss><vec I| and Q = 1 - P of a bundle."""
+    p = np.outer(vectorize(b.rho_ss), vectorize(np.eye(b.dim)))
+    return p, np.eye(b.dim**2) - p
 
 
 def test_gad_steady_state_is_diagonal_mixture():
@@ -61,13 +78,14 @@ def test_bundle_projector_invariants():
     ):
         b = steady_state_bundle(model, theta)
         lgen = model.liouvillian(theta)
-        q = b.Q
-        assert np.abs(b.P @ b.P - b.P).max() <= 1e-9
-        assert np.abs(b.P @ vectorize(b.rho_ss) - vectorize(b.rho_ss)).max() <= 1e-9
-        assert np.abs(lgen @ b.S - q).max() <= 1e-9
-        assert np.abs(b.S @ lgen - q).max() <= 1e-9
-        assert np.abs(b.S @ b.P).max() <= 1e-9
-        assert np.abs(b.P @ b.S).max() <= 1e-9
+        p, q = projectors(b)
+        s = superop_from_action(b.s_apply, b.dim)
+        assert np.abs(p @ p - p).max() <= 1e-9
+        assert np.abs(p @ vectorize(b.rho_ss) - vectorize(b.rho_ss)).max() <= 1e-9
+        assert np.abs(lgen @ s - q).max() <= 1e-9
+        assert np.abs(s @ lgen - q).max() <= 1e-9
+        assert np.abs(s @ p).max() <= 1e-9
+        assert np.abs(p @ s).max() <= 1e-9
 
 
 def test_pseudoinverse_matches_closed_form():
@@ -115,11 +133,12 @@ def test_pseudoinverse_integral_representation():
     lgen = gad_model().liouvillian((0.4,))
     tmax = 40.0 / b.gap
     ts = np.linspace(0.0, tmax, 4001)
-    props = np.stack([mat_exp(lgen, t) - b.P for t in ts])
+    p, _ = projectors(b)
+    props = np.stack([mat_exp(lgen, t) - p for t in ts])
     from scipy.integrate import simpson
 
     s_quad = -simpson(props, x=ts, axis=0)
-    assert np.abs(s_quad - b.S).max() <= 1e-6
+    assert np.abs(s_quad - superop_from_action(b.s_apply, 2)).max() <= 1e-6
     x = random_operator(rng, 2)
     got = devectorize(s_quad @ vectorize(x))
     assert np.abs(got - b.s_apply(x)).max() <= 1e-6
@@ -133,29 +152,33 @@ def test_steady_state_is_invariant_under_evolution():
         assert np.abs(mat_exp(lgen, t) @ v - v).max() <= 1e-9
 
 
-def test_degenerate_steady_space_is_rejected():
-    # pure dephasing keeps every diagonal state fixed
-    from damlab.models import LindbladModel
-
+def dephasing_model():
+    """Pure dephasing at rate theta: every diagonal state is steady."""
     sz = np.diag([1.0, -1.0]).astype(complex)
 
     def gen(theta):
         return None, [(sz, theta[0])]
 
-    model = LindbladModel(
+    return LindbladModel(
         name="dephasing",
         param_dim=1,
         system_dim=2,
         generator=gen,
         param_domain=((0.0, 2.0),),
     )
+
+
+def test_degenerate_steady_space_is_rejected():
     with pytest.raises(ValueError, match="degenerate"):
-        steady_state_bundle(model, (1.0,))
+        steady_state_bundle(dephasing_model(), (1.0,))
+
+
+def test_steady_link_rejects_degenerate_steady_space():
+    with pytest.raises(ValueError, match="'dephasing'.*degenerate"):
+        steady_expectation_link(dephasing_model(), EXCITED_PROJECTOR)
 
 
 def test_gapless_generator_is_rejected():
-    from damlab.models import LindbladModel
-
     def gen(theta):
         return np.zeros((2, 2)), []
 
@@ -182,3 +205,20 @@ def test_bundle_expectation():
     a = random_hermitian(rng, 2)
     direct = np.trace(a @ b.rho_ss).real
     assert abs(b.expectation(a) - direct) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(affine_models(), st.floats(0.02, 0.98))
+def test_bundle_matches_dense_oracle(model_and_a, theta):
+    model, a = model_and_a
+    try:
+        b = steady_state_bundle(model, [theta])
+    except ValueError as exc:
+        if "unique gapped steady state" in str(exc):
+            reject()
+        raise
+    rho, s = dense_bundle(model.liouvillian([theta]))
+    assert np.abs(b.rho_ss - rho).max() <= 1e-10
+    assert np.abs(superop_from_action(b.s_apply, b.dim) - s).max() <= 1e-10
+    c = np.trace(a @ devectorize(s @ vectorize(a @ rho)))
+    assert abs(dissipation_coefficient(b, a) - c) <= 1e-10
