@@ -93,29 +93,12 @@ LINK_TABLE_POINTS = 401
 LINK_MARGIN_REL = 1e-6
 
 
-def _affine_split(model):
-    """(L0, L1) with L(theta) = L0 + theta L1, fitted at two interior points
-    and checked at a third."""
-    lo, hi = model.param_domain[0]
-    t1, t2, t3 = (lo + frac * (hi - lo) for frac in (0.25, 0.75, 0.6))
-    la, lb = model.liouvillian([t1]), model.liouvillian([t2])
-    l1 = (lb - la) / (t2 - t1)
-    l0 = la - t1 * l1
-    defect = np.abs(model.liouvillian([t3]) - (l0 + t3 * l1)).max()
-    if defect > 1e-10 * max(np.abs(la).max(), np.abs(lb).max()):
-        raise ValueError(
-            f"model {model.name!r}: the steady link needs a Liouvillian affine "
-            f"in theta (defect {defect:.3g} at theta={t3:.6g})"
-        )
-    return l0, l1
-
-
 def steady_expectation_link(model, a):
     """Exact link theta -> tr(A rho_ss(theta)) for a single-parameter model.
 
-    The model's Liouvillian must be affine in theta, L = L0 + theta L1 (true
-    of every built-in and JSON model). rho_ss is the models' bordered solve
-    with trace 1, batched over thetas; the derivative is the linear response
+    Every model is affine in theta, so dL/dtheta = L1 is the model's fixed
+    sum of dissipators. rho_ss is the models' bordered solve with trace 1,
+    batched over thetas; the derivative is the linear response
     d rho = -S L1 rho, the same bordered solve with trace 0. The inverse
     seeds from a monotone table of LINK_TABLE_POINTS thetas, checked by the
     models' zero-mode/gap rule, and runs a safeguarded Newton iteration on
@@ -125,7 +108,7 @@ def steady_expectation_link(model, a):
     if model.param_dim != 1:
         raise ValueError("numeric links are single-parameter only")
     a = np.asarray(a, dtype=complex)
-    l0, l1 = _affine_split(model)
+    l1 = model.liouvillian_derivatives()[0]
     lo, hi = model.param_domain[0]
     margin = LINK_MARGIN_REL * (hi - lo)
     grid = np.linspace(lo + margin, hi - margin, LINK_TABLE_POINTS)
@@ -133,7 +116,7 @@ def steady_expectation_link(model, a):
     tol = NEWTON_RTOL * np.linalg.norm(a, 2)  # ||A|| bounds |f|
 
     def liouvillians(th):
-        return l0 + th[:, None, None] * l1
+        return model.assemble(model.rates(th[:, None]))
 
     def solve(lmats):
         """f and df/dtheta for a stack of Liouvillians."""

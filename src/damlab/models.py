@@ -1,10 +1,13 @@
 """Parameterized Lindblad models, steady states and the group pseudoinverse.
 
-A model maps a parameter vector theta to a GKLS triple (H, jump operators,
-rates). For a model with a unique steady state rho and dissipative gap g > 0
-the bundle below holds rho, g and the Liouvillian L, and applies the group
-pseudoinverse S, the inverse of L on traceless operators (L S = S L = Q with
-Q x = x - tr(x) rho, and tr S(x) = 0).
+A model is affine in its parameters: L(theta) = L_H + sum_k g_k(theta) D_k
+with jump rates g_k(theta) = c_k + s_k . theta. It assembles the Hamiltonian
+term L_H and the dissipators D_k once, when it is built, so a Liouvillian at
+any theta is a weighted sum of stored matrices and dL/dtheta_i is the fixed
+sum_k s_k[i] D_k. For a model with a unique steady state rho and
+dissipative gap g > 0 the bundle below holds rho, g and the Liouvillian L,
+and applies the group pseudoinverse S, the inverse of L on traceless
+operators (L S = S L = Q with Q x = x - tr(x) rho, and tr S(x) = 0).
 
 Both rho and S(x) come from one bordered solve: L y = b with the first row
 of L replaced by the trace row vec(I)^T and the first entry of b by the
@@ -16,12 +19,20 @@ dense P, Q or S is formed. The integral -int exp(t L) Q dt is kept as a
 test oracle only.
 """
 
+import functools
+import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .operators import devectorize, is_hermitian, lindblad_superoperator, vectorize
+from .operators import (
+    _gkls_operators,
+    devectorize,
+    dissipator,
+    hamiltonian_term,
+    is_hermitian,
+    vectorize,
+)
 
 __all__ = [
     "LindbladModel",
@@ -42,15 +53,71 @@ EXCITED_PROJECTOR = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 STEADY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class LindbladModel:
-    """A family theta -> Lindblad generator with a declared parameter box."""
+    """Lindblad generators L(theta) = L_H + sum_k g_k(theta) D_k on a box.
+
+    ``jumps`` holds (operator, const, slopes) triples: jump k has the rate
+    g_k(theta) = const + slopes . theta, with one slope per parameter. The
+    Hamiltonian (None for none) does not depend on theta. The Hamiltonian
+    term L_H and the unit-rate dissipators D_k are assembled once, when the
+    model is built, and stored read-only; a Liouvillian only scales and adds
+    them, in the order of ``operators.lindblad_superoperator``.
+    """
 
     name: str
-    param_dim: int
-    system_dim: int
-    generator: Callable
     param_domain: tuple
+    hamiltonian: object
+    jumps: tuple
+    _h_term: np.ndarray = field(init=False, repr=False)
+    _dissipators: tuple = field(init=False, repr=False)
+    _consts: np.ndarray = field(init=False, repr=False)
+    _slopes: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        domain = tuple((float(lo), float(hi)) for lo, hi in self.param_domain)
+        m = len(domain)
+        h, ops = _gkls_operators(self.hamiltonian, [op for op, _, _ in self.jumps])
+        consts = np.array([float(c) for _, c, _ in self.jumps])
+        slopes = np.zeros((len(ops), m))
+        for k, (_, _, slope) in enumerate(self.jumps):
+            slope = np.asarray(slope, dtype=float)
+            if slope.shape != (m,):
+                raise ValueError(
+                    f"model {self.name!r}: jump {k} needs {m} slopes, one per "
+                    f"parameter, got shape {slope.shape}"
+                )
+            slopes[k] = slope
+        # copies, so that the caller's arrays stay writable and ours do not change
+        ops = [_read_only(np.array(op)) for op in ops]
+        h = _read_only(np.array(h))
+        built = {
+            "param_domain": domain,
+            "hamiltonian": None if self.hamiltonian is None else h,
+            "jumps": tuple(
+                (op, float(c), tuple(float(v) for v in s))
+                for op, c, s in zip(ops, consts, slopes)
+            ),
+            "_h_term": _read_only(hamiltonian_term(h)),
+            "_dissipators": tuple(_read_only(dissipator(op)) for op in ops),
+            "_consts": _read_only(consts),
+            "_slopes": _read_only(slopes),
+        }
+        for name, value in built.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def param_dim(self):
+        return len(self.param_domain)
+
+    @property
+    def system_dim(self):
+        return math.isqrt(self._h_term.shape[0])
 
     def contains(self, theta):
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -58,14 +125,40 @@ class LindbladModel:
             return False
         return all(lo < v < hi for v, (lo, hi) in zip(theta, self.param_domain))
 
+    def rates(self, theta):
+        """Jump rates const_k + slopes_k . theta, shape (..., K) for (..., M).
+
+        The dot product is summed in parameter order, elementwise, so a rate
+        does not depend on how thetas are batched.
+        """
+        theta = np.asarray(theta, dtype=float)
+        return self._consts + (theta[..., None, :] * self._slopes).sum(axis=-1)
+
+    def assemble(self, rates):
+        """L_H + sum_k rates[..., k] D_k; raises on a negative rate."""
+        rates = np.asarray(rates, dtype=float)
+        if np.any(rates < 0):
+            raise ValueError(f"negative jump rate {float(rates[rates < 0][0])}")
+        gen = self._h_term
+        for k, dk in enumerate(self._dissipators):
+            gen = gen + rates[..., k, None, None] * dk
+        # without jumps gen is still the stored term, which callers must not get
+        return gen if self._dissipators else gen.copy()
+
     def liouvillian(self, theta):
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if not self.contains(theta):
             raise ValueError(
                 f"theta {theta.tolist()} outside the domain of model {self.name!r}"
             )
-        h, jumps = self.generator(theta)
-        return lindblad_superoperator(h, jumps)
+        return self.assemble(self.rates(theta))
+
+    def liouvillian_derivatives(self):
+        """dL/dtheta_i = sum_k slopes_k[i] D_k, stacked to (M, d^2, d^2)."""
+        out = np.zeros((self.param_dim,) + self._h_term.shape, dtype=complex)
+        for s, dk in zip(self._slopes, self._dissipators):
+            out += s[:, None, None] * dk
+        return out
 
 
 def _steady_gaps(lmats, name, thetas):
@@ -118,23 +211,18 @@ def _check_probe_gap(model, probe):
     return model
 
 
+@functools.cache
 def gad_model():
     """Generalized amplitude damping qubit: decay rate theta, pumping 1-theta.
 
     Steady state diag(theta, 1-theta), dissipative gap 1/2, for any
-    theta in (0, 1).
+    theta in (0, 1). Built once; every call returns the same model.
     """
-
-    def generator(theta):
-        th = float(theta[0])
-        return None, [(SIGMA_MINUS, th), (SIGMA_PLUS, 1.0 - th)]
-
     model = LindbladModel(
         name="gad",
-        param_dim=1,
-        system_dim=2,
-        generator=generator,
         param_domain=((0.0, 1.0),),
+        hamiltonian=None,
+        jumps=((SIGMA_MINUS, 0.0, (1.0,)), (SIGMA_PLUS, 1.0, (-1.0,))),
     )
     return _check_probe_gap(model, np.array([0.5]))
 
@@ -148,32 +236,27 @@ def _embed(op, site, m):
     return out
 
 
+@functools.cache
 def product_gad_model(m):
     """M independent GAD qubits with theta = (theta_1, ..., theta_M).
 
     The steady state is the tensor product of diag(theta_i, 1-theta_i). M is
-    capped at 3 to keep the dense superoperators small.
+    capped at 3 to keep the dense superoperators small. Built once per M.
     """
     m = int(m)
     if m < 1:
         raise ValueError("need at least one qubit")
     if m > 3:
         raise ValueError(f"M={m} exceeds the dimension cap (M <= 3)")
-
-    def generator(theta):
-        jumps = []
-        for site in range(m):
-            th = float(theta[site])
-            jumps.append((_embed(SIGMA_MINUS, site, m), th))
-            jumps.append((_embed(SIGMA_PLUS, site, m), 1.0 - th))
-        return None, jumps
-
+    jumps = []
+    for site, unit in enumerate(np.eye(m)):
+        jumps.append((_embed(SIGMA_MINUS, site, m), 0.0, unit))
+        jumps.append((_embed(SIGMA_PLUS, site, m), 1.0, -unit))
     model = LindbladModel(
         name=f"product_gad_{m}",
-        param_dim=m,
-        system_dim=2**m,
-        generator=generator,
         param_domain=tuple((0.0, 1.0) for _ in range(m)),
+        hamiltonian=None,
+        jumps=tuple(jumps),
     )
     return _check_probe_gap(model, np.full(m, 0.5))
 

@@ -24,6 +24,8 @@ __all__ = [
     "right_mult",
     "is_hermitian",
     "is_density_matrix",
+    "hamiltonian_term",
+    "dissipator",
     "lindblad_superoperator",
     "mat_exp",
 ]
@@ -81,6 +83,37 @@ def is_density_matrix(x, tol=1e-10):
     return bool(evals.min() >= -tol)
 
 
+def _gkls_operators(h, ops, tol=1e-10):
+    """Validated (H, jump operators) of one GKLS generator.
+
+    ``h`` may be None for a purely dissipative map; it becomes the zero
+    matrix. Raises ValueError on a non-square, non-finite or non-Hermitian
+    operand or on mismatched dimensions.
+    """
+    ops = [_as_square(op, "jump operator") for op in ops]
+    if h is None:
+        if not ops:
+            raise ValueError("need a Hamiltonian or at least one jump operator")
+        h = np.zeros_like(ops[0])
+    h = _as_square(h, "Hamiltonian")
+    if not is_hermitian(h, tol):
+        raise ValueError("Hamiltonian is not Hermitian within tolerance")
+    if any(op.shape[0] != h.shape[0] for op in ops):
+        raise ValueError("jump operator dimension mismatch")
+    return h, ops
+
+
+def hamiltonian_term(h):
+    """Superoperator for X -> -i[H, X]."""
+    return -1j * (left_mult(h) - right_mult(h))
+
+
+def dissipator(op):
+    """Superoperator for X -> L X L^+ - {L^+ L, X}/2 at unit rate."""
+    ldl = op.conj().T @ op
+    return np.kron(op.conj(), op) - 0.5 * left_mult(ldl) - 0.5 * right_mult(ldl)
+
+
 def lindblad_superoperator(h, jumps=(), tol=1e-10):
     """Assemble the GKLS generator as a d^2 x d^2 matrix.
 
@@ -89,27 +122,18 @@ def lindblad_superoperator(h, jumps=(), tol=1e-10):
         jumps: iterable of (jump operator, nonnegative rate) pairs.
         tol: Hermiticity tolerance for ``h``.
 
-    The map is X -> -i[H, X] + sum_k g_k (L_k X L_k^+ - {L_k^+ L_k, X}/2).
+    The map is X -> -i[H, X] + sum_k g_k (L_k X L_k^+ - {L_k^+ L_k, X}/2),
+    summed term by term in the order given.
     """
-    jumps = [(_as_square(op, "jump operator"), float(rate)) for op, rate in jumps]
-    if h is None:
-        if not jumps:
-            raise ValueError("need a Hamiltonian or at least one jump operator")
-        h = np.zeros_like(jumps[0][0])
-    h = _as_square(h, "Hamiltonian")
-    if not is_hermitian(h, tol):
-        raise ValueError("Hamiltonian is not Hermitian within tolerance")
-    d = h.shape[0]
-    gen = -1j * (left_mult(h) - right_mult(h))
-    for op, rate in jumps:
-        if op.shape[0] != d:
-            raise ValueError("jump operator dimension mismatch")
+    jumps = list(jumps)
+    h, ops = _gkls_operators(h, [op for op, _ in jumps], tol)
+    rates = [float(rate) for _, rate in jumps]
+    for rate in rates:
         if rate < 0:
             raise ValueError(f"negative jump rate {rate}")
-        ldl = op.conj().T @ op
-        gen = gen + rate * (
-            np.kron(op.conj(), op) - 0.5 * left_mult(ldl) - 0.5 * right_mult(ldl)
-        )
+    gen = hamiltonian_term(h)
+    for op, rate in zip(ops, rates):
+        gen = gen + rate * dissipator(op)
     return gen
 
 

@@ -194,8 +194,10 @@ def perturbative_kernel(run, p, pp):
 def _half_plane(app):
     """Index pairs covering p_i >= p_j with x = p_i - p_j a grid multiple."""
     k = app.p_points
-    idx_i = np.concatenate([np.arange(off, k) for off in range(k)])
-    idx_k = np.concatenate([np.full(k - off, off) for off in range(k)])
+    idx_k = np.repeat(np.arange(k), np.arange(k, 0, -1))
+    # block off holds i = off, ..., k-1; it starts at off*k - off*(off-1)/2
+    starts = idx_k * k - idx_k * (idx_k - 1) // 2
+    idx_i = idx_k + np.arange(idx_k.size) - starts
     return idx_i, idx_k
 
 

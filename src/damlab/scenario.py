@@ -186,21 +186,15 @@ def load_model_file(path):
             _fail(path, f"observables[{oname}]: not Hermitian")
         observables[oname] = obs
 
-    def generator(theta):
-        theta = np.asarray(theta, dtype=float)
-        jumps = [
-            (op, float(c + s @ theta))
-            for op, c, s in zip(jump_ops, rate_consts, rate_slopes)
-        ]
-        return h, jumps
-
-    model = LindbladModel(
-        name=name,
-        param_dim=m,
-        system_dim=dim,
-        generator=generator,
-        param_domain=tuple(domain),
-    )
+    try:
+        model = LindbladModel(
+            name=name,
+            param_domain=tuple(domain),
+            hamiltonian=h,
+            jumps=tuple(zip(jump_ops, rate_consts, rate_slopes)),
+        )
+    except ValueError as exc:
+        _fail(path, str(exc))
     return model, observables
 
 
@@ -208,7 +202,7 @@ def load_model_file(path):
 
 
 _REGISTERED = {
-    "gad": lambda: gad_model(),
+    "gad": gad_model,
     "product_gad_2": lambda: product_gad_model(2),
     "product_gad_3": lambda: product_gad_model(3),
 }

@@ -6,9 +6,15 @@ anchors and pinned tolerances, then asserts each check individually so
 lists every metric that missed its threshold.
 """
 
+from pathlib import Path
+
 import pytest
 
-from damlab.acceptance import CHECK_NAMES, VerifyParams, run_checks
+from damlab import models
+from damlab.acceptance import CHECK_NAMES, VerifyParams, apply_overrides, run_checks
+from damlab.scenario import load_scenario
+
+VERIFY_INI = Path(__file__).resolve().parent.parent / "configs" / "verify.ini"
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +73,25 @@ def test_c09_multiparameter(suite):
 
 def test_c10_determinism_reduction(suite):
     _require(suite, 10)
+
+
+def test_suite_assembles_each_models_dissipators_once(monkeypatch):
+    """The suite's models are built once and shared by every check, and a
+    Liouvillian at any theta reuses their stored dissipators."""
+    models.gad_model.cache_clear()
+    models.product_gad_model.cache_clear()
+    assembled = []
+
+    def counted(op):
+        assembled.append(op.shape[0])
+        return real(op)
+
+    real = models.dissipator
+    monkeypatch.setattr(models, "dissipator", counted)
+    scn = load_scenario(VERIFY_INI)
+    params = apply_overrides(VerifyParams(seed=scn.seed), scn.verify_overrides)
+    results = run_checks(params, checks=scn.checks)
+    assert all(res.passed for res in results)
+    assert models.gad_model() is models.gad_model()
+    used = (models.gad_model(), models.product_gad_model(2))
+    assert len(assembled) == sum(len(m.jumps) for m in used) == 6

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import damlab
-from damlab import estimation
+from damlab import estimation, models
 from damlab.estimation import (
     LinkFunction,
     _chi2_ci,
@@ -37,7 +37,7 @@ from damlab.models import (
     product_gad_model,
     steady_state_bundle,
 )
-from damlab.operators import devectorize, vectorize
+from damlab.operators import devectorize, lindblad_superoperator, vectorize
 from damlab.pointer import DamRun, default_apparatus
 
 from oracles import chi2_quantile_error, dense_bundle, random_density
@@ -83,10 +83,12 @@ def test_steady_expectation_link_on_gad_is_identity():
 
 
 @st.composite
-def affine_models(draw):
-    """Random one-parameter GKLS model of dim 2-3 with affine rates on (0, 1),
-    and a random Hermitian observable. Entries are quarter-integers."""
+def affine_models(draw, max_params=1):
+    """Random GKLS model of dim 2-3 with a Hamiltonian and 1-``max_params``
+    parameters on (0, 1)^M, rates affine in them, and a random Hermitian
+    observable. Entries are quarter-integers."""
     d = draw(st.integers(2, 3))
+    m = draw(st.integers(1, max_params)) if max_params > 1 else 1
 
     def matrix():
         re = draw(arrays(np.int8, (d, d), elements=st.integers(-4, 4)))
@@ -101,19 +103,18 @@ def affine_models(draw):
     jumps = []
     for _ in range(draw(st.integers(1, 3))):
         const = draw(st.integers(0, 4))
-        slope = draw(st.integers(-const, 4))  # rate >= 0 on [0, 1]
-        jumps.append((matrix(), const / 4.0, slope / 4.0))
-
-    def generator(theta):
-        th = float(theta[0])
-        return h, [(op, c + s * th) for op, c, s in jumps]
+        slopes, budget = [], const
+        for _ in range(m):
+            slope = draw(st.integers(-budget, 4))  # rate >= 0 on [0, 1]^M
+            budget += min(slope, 0)
+            slopes.append(slope / 4.0)
+        jumps.append((matrix(), const / 4.0, tuple(slopes)))
 
     model = LindbladModel(
         name="random_affine",
-        param_dim=1,
-        system_dim=d,
-        generator=generator,
-        param_domain=((0.0, 1.0),),
+        param_domain=tuple((0.0, 1.0) for _ in range(m)),
+        hamiltonian=h,
+        jumps=tuple(jumps),
     )
     return model, hermitian()
 
@@ -142,31 +143,85 @@ def test_steady_link_matches_bundle_oracle(model_and_a, theta):
     assert abs(link.inverse(f)[0] - theta) <= 1e-10
 
 
-def qubit_model(name, rates):
-    """Qubit with jumps sigma_-, sigma_+ at rates(theta) on (0, 1)."""
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    affine_models(max_params=2),
+    st.lists(st.floats(0.02, 0.98), min_size=2, max_size=2),
+)
+def test_model_liouvillian_matches_lindblad_superoperator(model_and_a, point):
+    model, _ = model_and_a
+    theta = np.array(point[: model.param_dim])
+    jumps = [
+        (op, c + sum(sk * tk for sk, tk in zip(s, theta))) for op, c, s in model.jumps
+    ]
+    assert np.array_equal(
+        model.liouvillian(theta), lindblad_superoperator(model.hamiltonian, jumps)
+    )
+    # L is affine, so the central difference is exact up to rounding
+    h = 1e-3
+    derivs = model.liouvillian_derivatives()
+    assert derivs.shape == (model.param_dim,) + model.liouvillian(theta).shape
+    for i, step in enumerate(h * np.eye(model.param_dim)):
+        lo, hi = theta - step, theta + step
+        central = (model.liouvillian(hi) - model.liouvillian(lo)) / (hi - lo)[i]
+        assert np.abs(derivs[i] - central).max() <= 1e-9
 
-    def generator(theta):
-        down, up = rates(float(theta[0]))
-        return None, [(SIGMA_MINUS, down), (SIGMA_PLUS, up)]
 
+def test_liouvillian_assembles_no_superoperator(monkeypatch):
+    built = (gad_model(), product_gad_model(2))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("superoperator assembled after construction")
+
+    monkeypatch.setattr(np, "kron", forbidden)
+    monkeypatch.setattr(models, "dissipator", forbidden)
+    monkeypatch.setattr(models, "hamiltonian_term", forbidden)
+    for m in built:
+        m.liouvillian(np.full(m.param_dim, 0.3))
+        m.liouvillian_derivatives()
+        # the factories share one model per argument, so nothing in it may change
+        with pytest.raises(ValueError, match="read-only"):
+            m.jumps[0][0][0, 0] = 1.0
+    steady_expectation_link(gad_model(), A)
+
+
+def qubit_model(name, down, up):
+    """Qubit with jumps sigma_-, sigma_+ at affine rates on (0, 1); ``down``
+    and ``up`` are (const, slope) pairs."""
     return LindbladModel(
         name=name,
-        param_dim=1,
-        system_dim=2,
-        generator=generator,
         param_domain=((0.0, 1.0),),
+        hamiltonian=None,
+        jumps=(
+            (SIGMA_MINUS, down[0], (down[1],)),
+            (SIGMA_PLUS, up[0], (up[1],)),
+        ),
     )
 
 
-def test_steady_link_rejects_non_affine_rates():
-    model = qubit_model("squared_gad", lambda th: (th * th, 1.0 - th))
-    with pytest.raises(ValueError, match="'squared_gad'.*affine"):
+def test_model_rejects_slopes_of_the_wrong_length():
+    for slopes in ((), (1.0, 0.0), 1.0):
+        with pytest.raises(ValueError, match="'bad'.*slopes"):
+            LindbladModel(
+                name="bad",
+                param_domain=((0.0, 1.0),),
+                hamiltonian=None,
+                jumps=((SIGMA_MINUS, 0.0, slopes),),
+            )
+
+
+def test_model_rejects_negative_rates():
+    model = qubit_model("falling", (0.5, -1.0), (1.0, 0.0))
+    assert model.liouvillian([0.4]).shape == (4, 4)
+    with pytest.raises(ValueError, match="negative jump rate"):
+        model.liouvillian([0.6])
+    with pytest.raises(ValueError, match="negative jump rate"):
         steady_expectation_link(model, A)
 
 
 def test_steady_link_raises_when_newton_does_not_converge(monkeypatch):
     # <A> = theta / (theta + 1/2): the table seed alone is not converged
-    link = steady_expectation_link(qubit_model("pumped", lambda th: (th, 0.5)), A)
+    link = steady_expectation_link(qubit_model("pumped", (0.0, 1.0), (0.5, 0.0)), A)
     thetas = np.array([0.3123, 0.71])
     readings = link.forward(thetas)
     assert np.abs(readings - thetas / (thetas + 0.5)).max() <= 1e-15

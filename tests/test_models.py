@@ -155,16 +155,11 @@ def test_steady_state_is_invariant_under_evolution():
 def dephasing_model():
     """Pure dephasing at rate theta: every diagonal state is steady."""
     sz = np.diag([1.0, -1.0]).astype(complex)
-
-    def gen(theta):
-        return None, [(sz, theta[0])]
-
     return LindbladModel(
         name="dephasing",
-        param_dim=1,
-        system_dim=2,
-        generator=gen,
         param_domain=((0.0, 2.0),),
+        hamiltonian=None,
+        jumps=((sz, 0.0, (1.0,)),),
     )
 
 
@@ -179,15 +174,11 @@ def test_steady_link_rejects_degenerate_steady_space():
 
 
 def test_gapless_generator_is_rejected():
-    def gen(theta):
-        return np.zeros((2, 2)), []
-
     model = LindbladModel(
         name="null",
-        param_dim=1,
-        system_dim=2,
-        generator=gen,
         param_domain=((0.0, 1.0),),
+        hamiltonian=np.zeros((2, 2)),
+        jumps=(),
     )
     with pytest.raises(ValueError):
         steady_state_bundle(model, (0.5,))

@@ -48,16 +48,11 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 def driven_model(omega=0.35):
     """GAD with a transverse drive; tr[A S(A rho)] picks up an imaginary part
     for observables tilted out of the z axis."""
-
-    def gen(theta):
-        return omega * SX, [(SIGMA_MINUS, theta[0]), (SIGMA_PLUS, 1.0 - theta[0])]
-
     return LindbladModel(
         name="driven_gad",
-        param_dim=1,
-        system_dim=2,
-        generator=gen,
         param_domain=((0.0, 1.0),),
+        hamiltonian=omega * SX,
+        jumps=((SIGMA_MINUS, 0.0, (1.0,)), (SIGMA_PLUS, 1.0, (-1.0,))),
     )
 
 
@@ -471,10 +466,9 @@ def random_runs(draw):
 
     model = LindbladModel(
         name="random",
-        param_dim=1,
-        system_dim=d,
-        generator=lambda theta: (h, jumps),
         param_domain=((0.0, 1.0),),
+        hamiltonian=h,
+        jumps=tuple((op, rate, (0.0,)) for op, rate in jumps),
     )
     app = ApparatusConfig(
         sigma=0.1, p_halfwidth=3.0, p_points=9, q_halfwidth=1.0, q_points=16
@@ -543,3 +537,15 @@ def test_sampling_matches_distribution():
     ks = max(np.abs(emp_hi - cdfv).max(), np.abs(emp_lo - cdfv).max())
     assert ks <= 1.9495 / np.sqrt(count)  # alpha = 0.001
     assert abs(qs.mean() - d.mean) <= 4.0 * np.sqrt(d.variance / count)
+
+
+@pytest.mark.parametrize("k", [3, 4, 9, 161, 321])
+def test_half_plane_matches_block_enumeration(k):
+    app = ApparatusConfig(
+        sigma=0.1, p_halfwidth=3.0, p_points=k, q_halfwidth=1.0, q_points=16
+    )
+    idx_i, idx_k = _half_plane(app)
+    want_i = np.concatenate([np.arange(off, k) for off in range(k)])
+    want_k = np.concatenate([np.full(k - off, off) for off in range(k)])
+    assert np.array_equal(idx_i, want_i) and idx_i.dtype == want_i.dtype
+    assert np.array_equal(idx_k, want_k) and idx_k.dtype == want_k.dtype

@@ -210,9 +210,9 @@ def test_model_file_parses_matrices_and_rates(tmp_path):
     model, named = load_model_file(write_model(tmp_path, MODEL))
     assert model.name == "tilted_qubit"
     assert model.param_dim == 1 and model.system_dim == 2
-    h, jumps = model.generator(np.array([0.3]))
+    h = model.hamiltonian
     assert h[0, 1] == pytest.approx(0.35)
-    assert [r for _, r in jumps] == pytest.approx([0.3, 0.7])
+    assert list(model.rates(np.array([0.3]))) == pytest.approx([0.3, 0.7])
     assert np.array_equal(
         named["tilted"], np.array([[0.5, 0.5], [0.5, -0.5]], dtype=complex)
     )
@@ -294,5 +294,5 @@ def test_shipped_configs_load():
         assert scn.seed is not None
     driven = load_scenario(CONFIG_DIR / "driven_demo.ini")
     assert driven.model_name == "driven_gad"
-    h, jumps = driven.model.generator(np.array([0.3]))
+    h = driven.model.hamiltonian
     assert h is not None and h[0, 1] == pytest.approx(0.35)
