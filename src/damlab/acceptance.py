@@ -21,11 +21,10 @@ written to the report CSV are deterministic for a fixed seed (runtimes are
 reported as nan there and appear only in the JSON/console output).
 """
 
-import hashlib
 import math
 import tempfile
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,7 @@ from .estimation import (
     identity_link,
     mc_dam_error,
     multiparam_error_formula,
-    qfi_output_bound_check,
+    qfi_random_probe_bounds,
     qfi_state,
 )
 from .models import (
@@ -48,7 +47,7 @@ from .models import (
     steady_state_bundle,
 )
 from .pointer import DamRun, default_apparatus, nonadiabaticity, pointer_distribution, sample_pointer
-from .scenario import Scenario
+from .scenario import VerifyParams, load_scenario
 from .sweeps import nonadiabaticity_sweep, sweep_csv, write_csv
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
     "Metric",
     "CheckResult",
     "CHECK_NAMES",
-    "apply_overrides",
     "run_checks",
     "report_rows",
     "write_report",
@@ -103,62 +101,6 @@ CHECK_NAMES = {
 
 
 @dataclass(frozen=True)
-class VerifyParams:
-    """Operating points of the suite; tolerances are module constants."""
-
-    seed: int = 20260817
-    theta: float = 0.3
-    sigma: float = 0.1
-    pointer_t: float = 200.0
-    povm_n: int = 10_000
-    povm_trials: int = 2000
-    pseudo_draws: int = 200
-    nonadiabatic_sigma: float = 0.2
-    nonadiabatic_ts: tuple = (100.0, 200.0, 400.0)
-    nonadiabatic_t_long: float = 1e5
-    scaling_theta: float = 0.5
-    scaling_sigma: float = 0.18
-    scaling_t: float = 2000.0
-    scaling_ns: tuple = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
-    scaling_trials: int = 4000
-    pert_t: float = 500.0
-    pert_n: float = 5.0
-    qfi_thetas: tuple = (0.1, 0.3, 0.5, 0.7, 0.9)
-    qfi_ts: tuple = (0.2, 0.5, 1.0, 2.0, 5.0)
-    qfi_bound_theta: float = 0.3
-    qfi_bound_t: float = 1.0
-    qfi_probes: int = 20
-    qfi_product_probes: int = 5
-    multi_theta: tuple = (0.2, 0.6)
-    multi_sigma: float = 0.1
-    multi_n: float = 10.0
-    multi_t: float = 500.0
-    multi_trials: int = 2000
-
-
-def apply_overrides(params, overrides):
-    """New VerifyParams with string overrides parsed per field type."""
-    by_name = {f.name: f for f in fields(VerifyParams)}
-    values = {f.name: getattr(params, f.name) for f in fields(VerifyParams)}
-    for key, raw in overrides.items():
-        if key not in by_name:
-            raise ValueError(
-                f"unknown [verify] key {key!r} (fields: {', '.join(sorted(by_name))})"
-            )
-        current = values[key]
-        try:
-            if isinstance(current, tuple):
-                values[key] = tuple(float(v) for v in raw.replace(",", " ").split())
-            elif isinstance(current, int):
-                values[key] = int(raw)
-            else:
-                values[key] = float(raw)
-        except ValueError as exc:
-            raise ValueError(f"[verify] {key}: cannot parse {raw!r}") from exc
-    return VerifyParams(**values)
-
-
-@dataclass(frozen=True)
 class Metric:
     name: str
     value: float
@@ -184,12 +126,6 @@ def _le(name, value, limit, volatile=False):
 def _in(name, value, rng):
     lo, hi = rng
     return Metric(name, float(value), f"in [{lo:g}, {hi:g}]", lo <= float(value) <= hi)
-
-
-def _random_density(rng, dim):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 def _bias_z(theta_hat, theta_true, per_component_error, trials):
@@ -340,15 +276,14 @@ def _check_qfi_suite(p):
         for t in p.qfi_ts:
             worst_decomp = max(worst_decomp, gad_channel_decomposition_check(th, t))
 
-    rng = np.random.default_rng(np.random.SeedSequence([p.seed, 8, 1]))
-    probes = [_random_density(rng, 2) for _ in range(p.qfi_probes)]
-    single = qfi_output_bound_check(p.qfi_bound_theta, p.qfi_bound_t, probes, copies=1)
-    rng = np.random.default_rng(np.random.SeedSequence([p.seed, 8, 2]))
-    pairs = [
-        np.kron(_random_density(rng, 2), _random_density(rng, 2))
-        for _ in range(p.qfi_product_probes)
-    ]
-    double = qfi_output_bound_check(p.qfi_bound_theta, p.qfi_bound_t, pairs, copies=2)
+    single, double = qfi_random_probe_bounds(
+        p.qfi_bound_theta,
+        p.qfi_bound_t,
+        np.random.SeedSequence([p.seed, 8, 1]),
+        np.random.SeedSequence([p.seed, 8, 2]),
+        p.qfi_probes,
+        p.qfi_product_probes,
+    )
     single_margin = max(single.qfi) - single.bound
     double_margin = max(double.qfi) - double.bound
     fd_worst = max(max(single.fd_disagreement), max(double.fd_disagreement))
@@ -395,31 +330,6 @@ def _check_multiparameter(p):
     ]
 
 
-def _builtin_scenario(model, theta, sigma, t, seed, sweep_axis, sweep_values):
-    app = default_apparatus(sigma)
-    tag = f"{model.name}:{list(theta)}:{sigma}:{t}:{seed}:{sweep_axis}:{list(sweep_values)}"
-    return Scenario(
-        path="<builtin>",
-        sha256=hashlib.sha256(tag.encode()).hexdigest(),
-        model=model,
-        model_name=model.name,
-        theta=np.asarray(theta, dtype=float),
-        observables=(("excited", EXCITED_PROJECTOR.copy()),),
-        link_kind="identity",
-        apparatus=app,
-        t=float(t),
-        n=1.0,
-        n_over_t=None,
-        trials=200,
-        seed=int(seed),
-        sweep_axis=sweep_axis,
-        sweep_values=tuple(float(v) for v in sweep_values),
-        out_dir="out",
-        checks=None,
-        verify_overrides={},
-    )
-
-
 def _check_determinism_reduction(p):
     run = _gad_run(p.theta, p.pointer_t, 1.0, p.sigma)
     link = identity_link()
@@ -431,11 +341,16 @@ def _check_determinism_reduction(p):
     )
     reduction = abs(single - multi)
 
-    scn = _builtin_scenario(
-        run.model, [p.theta], p.nonadiabatic_sigma, 50.0, p.seed, "T", (50.0, 100.0)
-    )
     blobs = []
     with tempfile.TemporaryDirectory() as tmp:
+        scenario_path = Path(tmp) / "sweep.ini"
+        scenario_path.write_text(
+            f"[model]\nname = gad\ntheta = {p.theta!r}\nobservable = excited\n"
+            f"[apparatus]\nsigma = {p.nonadiabatic_sigma!r}\n"
+            f"[run]\nt = 50\ntrials = 200\nseed = {p.seed}\n"
+            "[sweep]\naxis = T\nvalues = 50, 100\n"
+        )
+        scn = load_scenario(scenario_path)
         for k in range(3):
             result = nonadiabaticity_sweep(scn)
             path = Path(tmp) / f"sweep_{k}.csv"

@@ -18,15 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .acceptance import (
-    VerifyParams,
-    _random_density,
-    apply_overrides,
-    run_checks,
-    write_report,
-)
+from .acceptance import run_checks, write_report
 from .backend import KERNEL_BACKEND
-from .estimation import qfi_output_bound_check
+from .estimation import qfi_random_probe_bounds
 from .models import _bordered_solve, dissipation_coefficient, steady_state_bundle
 from .operators import vectorize
 from .pointer import pointer_distribution
@@ -258,15 +252,14 @@ def cmd_qfi_bound(scn, args, out_dir):
             "the output-bound check is defined for the registered gad model"
         )
     theta = float(scn.theta[0])
-    rng = np.random.default_rng(np.random.SeedSequence([scn.seed, 81]))
-    probes = [_random_density(rng, 2) for _ in range(20)]
-    single = qfi_output_bound_check(theta, scn.t, probes, copies=1)
-    rng = np.random.default_rng(np.random.SeedSequence([scn.seed, 82]))
-    pairs = [
-        np.kron(_random_density(rng, 2), _random_density(rng, 2))
-        for _ in range(5)
-    ]
-    double = qfi_output_bound_check(theta, scn.t, pairs, copies=2)
+    single, double = qfi_random_probe_bounds(
+        theta,
+        scn.t,
+        np.random.SeedSequence([scn.seed, 81]),
+        np.random.SeedSequence([scn.seed, 82]),
+        20,
+        5,
+    )
 
     rows = []
     for copies, rep in ((1, single), (2, double)):
@@ -310,8 +303,7 @@ def cmd_qfi_bound(scn, args, out_dir):
 
 
 def cmd_verify(scn, args, out_dir):
-    params = apply_overrides(VerifyParams(seed=scn.seed), scn.verify_overrides)
-    results = run_checks(params, checks=scn.checks)
+    results = run_checks(scn.verify, checks=scn.checks)
     csv_path = out_dir / "verify_report.csv"
     write_report(results, csv_path)
     payload = []
@@ -356,15 +348,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         scn = load_scenario(args.config, seed=args.seed, out_dir=args.out)
-        apply_overrides(VerifyParams(seed=scn.seed), scn.verify_overrides)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out_dir = Path(scn.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
+        out_dir = Path(scn.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
         return args.func(scn, args, out_dir)
-    except (ScenarioError, ValueError) as exc:
+    except ValueError as exc:  # ScenarioError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

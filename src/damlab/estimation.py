@@ -36,6 +36,7 @@ __all__ = [
     "cramer_rao_bound",
     "gad_channel_decomposition_check",
     "qfi_output_bound_check",
+    "qfi_random_probe_bounds",
     "BoundCheckReport",
 ]
 
@@ -290,6 +291,7 @@ class EstimationReport:
 
 CHI2_MAX_STEPS = 40
 CHI2_STEP_TOL = 1e-11
+CHI2_CI_ALPHA = 0.05  # two-sided: a 95 % confidence interval
 
 # B_2k / (2k (2k - 1)), k = 1..7: lgamma(a + 1) = (a + 1/2) log a - a
 # + log(2 pi) / 2 + sum_k c_k a^(1 - 2k); the first omitted term is below
@@ -395,9 +397,9 @@ def _chi2_ppf(q, dof):
     )
 
 
-def _chi2_ci(err, dof, alpha=0.05):
-    lo = err * np.sqrt(dof / _chi2_ppf(1.0 - alpha / 2.0, dof))
-    hi = err * np.sqrt(dof / _chi2_ppf(alpha / 2.0, dof))
+def _chi2_ci(err, dof):
+    lo = err * np.sqrt(dof / _chi2_ppf(1.0 - CHI2_CI_ALPHA / 2.0, dof))
+    hi = err * np.sqrt(dof / _chi2_ppf(CHI2_CI_ALPHA / 2.0, dof))
     return (float(lo), float(hi))
 
 
@@ -509,12 +511,16 @@ def conventional_povm_error(theta, n, trials, seed):
     )
 
 
-def qfi_state(rho, drho, tol=1e-12):
+QFI_EIGEN_TOL = 1e-12
+QFI_BOUND_SLACK = 1e-4
+
+
+def qfi_state(rho, drho):
     """Quantum Fisher information of a state via the SLD eigenbasis sum.
 
     F = 2 sum_{ij} |<i|drho|j>|^2 / (l_i + l_j) over eigenpairs of rho with
-    l_i + l_j > tol; dropped terms carrying weight above 1e-6 trigger a
-    rank-deficiency warning.
+    l_i + l_j > QFI_EIGEN_TOL; dropped terms carrying weight above 1e-6
+    trigger a rank-deficiency warning.
     """
     rho = np.asarray(rho, dtype=complex)
     drho = np.asarray(drho, dtype=complex)
@@ -523,7 +529,7 @@ def qfi_state(rho, drho, tol=1e-12):
     evals, evecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
     melem2 = np.abs(evecs.conj().T @ drho @ evecs) ** 2
     denom = evals[:, None] + evals[None, :]
-    mask = denom > tol
+    mask = denom > QFI_EIGEN_TOL
     dropped = float(melem2[~mask].sum())
     if dropped > 1e-6:
         warnings.warn(
@@ -610,8 +616,9 @@ class BoundCheckReport:
     passed: bool
 
 
-def qfi_output_bound_check(theta, t, probes, copies=1, slack=1e-4):
-    """Check F[channel output] <= copies / (theta (1-theta)) for each probe.
+def qfi_output_bound_check(theta, t, probes, copies=1):
+    """Check F[channel output] <= copies / (theta (1-theta)) + QFI_BOUND_SLACK
+    for each probe.
 
     The output-state derivative in theta uses central differences (step
     1e-5) with one Richardson refinement; probes whose two difference
@@ -656,7 +663,7 @@ def qfi_output_bound_check(theta, t, probes, copies=1, slack=1e-4):
         qfis.append(qfi_state(rho_out, drho))
         gaps.append(gap)
         flags.append(gap > 1e-5)
-    passed = all(f <= bound + slack for f in qfis)
+    passed = all(f <= bound + QFI_BOUND_SLACK for f in qfis)
     return BoundCheckReport(
         bound=float(bound),
         qfi=tuple(qfis),
@@ -664,3 +671,25 @@ def qfi_output_bound_check(theta, t, probes, copies=1, slack=1e-4):
         flagged=tuple(flags),
         passed=passed,
     )
+
+
+def _random_density(rng, dim):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def qfi_random_probe_bounds(theta, t, single_seed, pair_seed, singles, pairs):
+    """qfi_output_bound_check on random probes: ``singles`` one-qubit states
+    drawn from ``single_seed`` (copies 1) and ``pairs`` product pairs drawn
+    from ``pair_seed`` (copies 2). Returns the two reports."""
+    rng = np.random.default_rng(single_seed)
+    probes = [_random_density(rng, 2) for _ in range(singles)]
+    single = qfi_output_bound_check(theta, t, probes, copies=1)
+    rng = np.random.default_rng(pair_seed)
+    products = [
+        np.kron(_random_density(rng, 2), _random_density(rng, 2))
+        for _ in range(pairs)
+    ]
+    double = qfi_output_bound_check(theta, t, products, copies=2)
+    return single, double

@@ -25,9 +25,11 @@ optionally [sweep] and [verify]:
     values = 1, 2, 5, 10
 
 The keys above, plus [apparatus] p_halfwidth/q_halfwidth/q_points and [run]
-n_over_t, are the only ones accepted: an unknown section or key is an error,
-not a silently ignored typo. [verify] keys name VerifyParams fields; the
-command line checks them on load, whatever the command.
+n_over_t, are the only ones accepted; [verify] takes checks (a subset of the
+ten) and the VerifyParams fields, each parsed like its default: a list of
+floats, an int or a float. Every value is parsed when the file loads,
+whatever the command: an unknown section or key, or a value that does not
+parse, is an error, not a silently ignored typo.
 
 Custom models are JSON files: complex matrices are nested [re, im] pairs, and
 jump rates are affine in the parameters, {"const": c, "slope_per_param":
@@ -44,7 +46,7 @@ import configparser
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -60,6 +62,7 @@ from .models import (
 from .pointer import ApparatusConfig, DamRun, default_apparatus
 
 __all__ = [
+    "VerifyParams",
     "Scenario",
     "ScenarioError",
     "load_scenario",
@@ -230,6 +233,41 @@ def _resolve_observable(spec, model, named, path):
 
 
 @dataclass(frozen=True)
+class VerifyParams:
+    """Operating points of the verify suite; its tolerances are constants in
+    acceptance, deliberately not settable here."""
+
+    seed: int = 20260817
+    theta: float = 0.3
+    sigma: float = 0.1
+    pointer_t: float = 200.0
+    povm_n: int = 10_000
+    povm_trials: int = 2000
+    pseudo_draws: int = 200
+    nonadiabatic_sigma: float = 0.2
+    nonadiabatic_ts: tuple = (100.0, 200.0, 400.0)
+    nonadiabatic_t_long: float = 1e5
+    scaling_theta: float = 0.5
+    scaling_sigma: float = 0.18
+    scaling_t: float = 2000.0
+    scaling_ns: tuple = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
+    scaling_trials: int = 4000
+    pert_t: float = 500.0
+    pert_n: float = 5.0
+    qfi_thetas: tuple = (0.1, 0.3, 0.5, 0.7, 0.9)
+    qfi_ts: tuple = (0.2, 0.5, 1.0, 2.0, 5.0)
+    qfi_bound_theta: float = 0.3
+    qfi_bound_t: float = 1.0
+    qfi_probes: int = 20
+    qfi_product_probes: int = 5
+    multi_theta: tuple = (0.2, 0.6)
+    multi_sigma: float = 0.1
+    multi_n: float = 10.0
+    multi_t: float = 500.0
+    multi_trials: int = 2000
+
+
+@dataclass(frozen=True)
 class Scenario:
     """Parsed scenario: model, operating point, apparatus and execution keys."""
 
@@ -250,30 +288,7 @@ class Scenario:
     sweep_values: Optional[tuple]
     out_dir: str
     checks: Optional[tuple]
-    verify_overrides: dict
-
-
-# accepted keys per section; [verify] keys are checked against VerifyParams by
-# the command line, since acceptance imports this module
-_KEYS = {
-    "model": ("name", "file", "theta", "observable"),
-    "apparatus": ("sigma", "p_halfwidth", "p_points", "q_halfwidth", "q_points"),
-    "run": ("t", "n", "n_over_t", "link", "trials", "seed", "out_dir"),
-    "sweep": ("axis", "values"),
-    "verify": None,
-}
-
-
-def _get(cfg, section, key, conv, path, default=None, required=False):
-    if not cfg.has_option(section, key):
-        if required:
-            _fail(path, f"missing [{section}] {key}")
-        return default
-    raw = cfg.get(section, key)
-    try:
-        return conv(raw)
-    except (TypeError, ValueError):
-        _fail(path, f"[{section}] {key}: cannot parse {raw!r}")
+    verify: VerifyParams
 
 
 def _floats(raw):
@@ -281,6 +296,58 @@ def _floats(raw):
     if not vals:
         raise ValueError("empty list")
     return tuple(vals)
+
+
+def _ints(raw):
+    return tuple(int(v) for v in raw.replace(",", " ").split())
+
+
+def _field_parsers(cls):
+    """Parser per field of a dataclass, by the field's type."""
+    parsers = {tuple: _floats, int: int, float: float}
+    return {f.name: parsers[f.type] for f in fields(cls)}
+
+
+# accepted keys per section and the parser of each value
+_SCHEMA = {
+    "model": {"name": str, "file": str, "theta": _floats, "observable": str},
+    "apparatus": _field_parsers(ApparatusConfig),
+    "run": {"t": float, "n": float, "n_over_t": float, "link": str, "trials": int,
+            "seed": int, "out_dir": str},
+    "sweep": {"axis": str, "values": _floats},
+    "verify": {"checks": _ints, **_field_parsers(VerifyParams)},
+}
+
+
+def _parse_sections(cfg, path):
+    """{section: {key: parsed value}} for every schema section."""
+    parsed = {section: {} for section in _SCHEMA}
+    for section in (["DEFAULT"] if cfg.defaults() else []) + cfg.sections():
+        if section not in _SCHEMA:
+            _fail(
+                path,
+                f"unknown section [{section}] (sections: {', '.join(sorted(_SCHEMA))})",
+            )
+        accepted = _SCHEMA[section]
+        for key in cfg.options(section):
+            if key not in accepted:
+                _fail(
+                    path,
+                    f"unknown [{section}] key {key!r} "
+                    f"(keys: {', '.join(sorted(accepted))})",
+                )
+            raw = cfg.get(section, key)
+            try:
+                parsed[section][key] = accepted[key](raw)
+            except (TypeError, ValueError):
+                _fail(path, f"[{section}] {key}: cannot parse {raw!r}")
+    return parsed
+
+
+def _required(values, section, key, path):
+    if key not in values:
+        _fail(path, f"missing [{section}] {key}")
+    return values[key]
 
 
 def load_scenario(path, seed=None, out_dir=None):
@@ -297,34 +364,20 @@ def load_scenario(path, seed=None, out_dir=None):
     except configparser.Error as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
-    sections = (["DEFAULT"] if cfg.defaults() else []) + cfg.sections()
-    for section in sections:
-        if section not in _KEYS:
-            _fail(
-                path,
-                f"unknown section [{section}] (sections: {', '.join(sorted(_KEYS))})",
-            )
-        accepted = _KEYS[section]
-        for key in cfg.options(section) if accepted else ():
-            if key not in accepted:
-                _fail(
-                    path,
-                    f"unknown [{section}] key {key!r} "
-                    f"(keys: {', '.join(sorted(accepted))})",
-                )
+    parsed = _parse_sections(cfg, path)
     for section in ("model", "run"):
         if not cfg.has_section(section):
             _fail(path, f"missing [{section}] section")
+    model_keys, run = parsed["model"], parsed["run"]
 
     named = {}
-    if cfg.has_option("model", "file"):
-        if cfg.has_option("model", "name"):
+    if "file" in model_keys:
+        if "name" in model_keys:
             _fail(path, "[model] must set exactly one of name/file")
-        model_file = (path.parent / cfg.get("model", "file")).resolve()
-        model, named = load_model_file(model_file)
+        model, named = load_model_file((path.parent / model_keys["file"]).resolve())
         model_name = model.name
     else:
-        model_name = _get(cfg, "model", "name", str, path, required=True).strip()
+        model_name = _required(model_keys, "model", "name", path)
         if model_name not in _REGISTERED:
             _fail(
                 path,
@@ -333,13 +386,13 @@ def load_scenario(path, seed=None, out_dir=None):
             )
         model = _REGISTERED[model_name]()
 
-    theta = np.asarray(_get(cfg, "model", "theta", _floats, path, required=True))
+    theta = np.asarray(_required(model_keys, "model", "theta", path))
     if theta.size != model.param_dim:
         _fail(path, f"theta needs {model.param_dim} entries, got {theta.size}")
     if not model.contains(theta):
         _fail(path, f"theta {theta.tolist()} outside the model domain")
 
-    obs_raw = _get(cfg, "model", "observable", str, path, required=True)
+    obs_raw = _required(model_keys, "model", "observable", path)
     observables = tuple(
         _resolve_observable(s, model, named, path) for s in obs_raw.split(",")
     )
@@ -350,66 +403,41 @@ def load_scenario(path, seed=None, out_dir=None):
             f"got {len(observables)}",
         )
 
-    sigma = _get(cfg, "apparatus", "sigma", float, path, default=0.1) \
-        if cfg.has_section("apparatus") else 0.1
-    base = default_apparatus(sigma)
-    if cfg.has_section("apparatus"):
-        apparatus = ApparatusConfig(
-            sigma=sigma,
-            p_halfwidth=_get(cfg, "apparatus", "p_halfwidth", float, path,
-                             default=base.p_halfwidth),
-            p_points=_get(cfg, "apparatus", "p_points", int, path,
-                          default=base.p_points),
-            q_halfwidth=_get(cfg, "apparatus", "q_halfwidth", float, path,
-                             default=base.q_halfwidth),
-            q_points=_get(cfg, "apparatus", "q_points", int, path,
-                          default=base.q_points),
-        )
-    else:
-        apparatus = base
+    grid = parsed["apparatus"]
+    apparatus = replace(default_apparatus(grid.get("sigma", 0.1)), **grid)
 
-    t = _get(cfg, "run", "t", float, path, required=True)
-    n = _get(cfg, "run", "n", float, path, default=1.0)
-    n_over_t = _get(cfg, "run", "n_over_t", float, path)
-    link_kind = _get(cfg, "run", "link", str, path, default="identity").strip()
+    t = _required(run, "run", "t", path)
+    n = run.get("n", 1.0)
+    link_kind = run.get("link", "identity")
     if link_kind not in ("identity", "steady"):
         _fail(path, f"[run] link must be identity or steady, got {link_kind!r}")
     if link_kind == "steady" and model.param_dim != 1:
         _fail(path, "the steady link is single-parameter only")
-    trials = _get(cfg, "run", "trials", int, path, default=1000)
+    trials = run.get("trials", 1000)
     if trials < 100:
         _fail(path, "[run] trials must be at least 100")
     if seed is None:
-        seed = _get(cfg, "run", "seed", int, path)
+        seed = run.get("seed")
     if seed is None:
         _fail(path, "seed is mandatory: set [run] seed or pass --seed")
     if out_dir is None:
-        out_dir = _get(cfg, "run", "out_dir", str, path, default="out")
+        out_dir = run.get("out_dir", "out")
 
     sweep_axis = None
     sweep_values = None
     if cfg.has_section("sweep"):
-        sweep_axis = _get(cfg, "sweep", "axis", str, path, required=True).strip()
+        sweep_axis = _required(parsed["sweep"], "sweep", "axis", path)
         if sweep_axis not in ("N", "T", "theta"):
             _fail(path, f"sweep axis must be N, T or theta, got {sweep_axis!r}")
-        sweep_values = _get(cfg, "sweep", "values", _floats, path, required=True)
+        sweep_values = _required(parsed["sweep"], "sweep", "values", path)
         if list(sweep_values) != sorted(sweep_values):
             _fail(path, "sweep values must be ascending")
         if len(set(sweep_values)) != len(sweep_values):
             _fail(path, "sweep values must be distinct")
 
-    checks = None
-    overrides = {}
-    if cfg.has_section("verify"):
-        for key in cfg.options("verify"):
-            if key == "checks":
-                checks = tuple(
-                    int(v) for v in cfg.get("verify", "checks").replace(",", " ").split()
-                )
-                if not checks or not all(1 <= c <= 10 for c in checks):
-                    _fail(path, "[verify] checks must list numbers in 1..10")
-            else:
-                overrides[key] = cfg.get("verify", key)
+    checks = parsed["verify"].pop("checks", None)
+    if checks is not None and not (checks and all(1 <= c <= 10 for c in checks)):
+        _fail(path, "[verify] checks must list numbers in 1..10")
 
     if t <= 0:
         _fail(path, f"[run] t must be positive, got {t!r}")
@@ -427,14 +455,15 @@ def load_scenario(path, seed=None, out_dir=None):
         apparatus=apparatus,
         t=float(t),
         n=float(n),
-        n_over_t=n_over_t,
+        n_over_t=run.get("n_over_t"),
         trials=trials,
         seed=int(seed),
         sweep_axis=sweep_axis,
         sweep_values=sweep_values,
         out_dir=str(out_dir),
         checks=checks,
-        verify_overrides=overrides,
+        # a [verify] seed wins over --seed and [run] seed
+        verify=VerifyParams(**{"seed": int(seed), **parsed["verify"]}),
     )
 
 

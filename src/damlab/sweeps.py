@@ -37,7 +37,7 @@ from .estimation import (
     steady_expectation_link,
 )
 from .models import dissipation_coefficient
-from .pointer import DamRun, nonadiabaticity
+from .pointer import nonadiabaticity
 from .scenario import scenario_runs
 
 __all__ = [
@@ -282,14 +282,7 @@ def nonadiabaticity_sweep(scn):
     )
     for value in scn.sweep_values:
         start = time.perf_counter()
-        run = DamRun(
-            model=scn.model,
-            theta=scn.theta,
-            observable=a,
-            t=float(value),
-            n=1.0,
-            apparatus=scn.apparatus,
-        )
+        run = scenario_runs(scn, t=float(value), n=1.0)[0]
         delta = nonadiabaticity(run)
         elapsed = (time.perf_counter() - start) * 1e3
         result.rows.append(

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from damlab import models
-from damlab.acceptance import CHECK_NAMES, VerifyParams, apply_overrides, run_checks
+from damlab.acceptance import CHECK_NAMES, VerifyParams, run_checks
 from damlab.scenario import load_scenario
 
 VERIFY_INI = Path(__file__).resolve().parent.parent / "configs" / "verify.ini"
@@ -89,8 +89,7 @@ def test_suite_assembles_each_models_dissipators_once(monkeypatch):
     real = models.dissipator
     monkeypatch.setattr(models, "dissipator", counted)
     scn = load_scenario(VERIFY_INI)
-    params = apply_overrides(VerifyParams(seed=scn.seed), scn.verify_overrides)
-    results = run_checks(params, checks=scn.checks)
+    results = run_checks(scn.verify, checks=scn.checks)
     assert all(res.passed for res in results)
     assert models.gad_model() is models.gad_model()
     used = (models.gad_model(), models.product_gad_model(2))

@@ -165,9 +165,30 @@ def test_verify_section_checks_and_overrides(tmp_path):
     text = GOOD + "\n[verify]\nchecks = 2, 3\npert_t = 100\n"
     scn = load_scenario(write(tmp_path, text))
     assert scn.checks == (2, 3)
-    assert scn.verify_overrides == {"pert_t": "100"}
+    assert scn.verify.pert_t == 100.0
     with pytest.raises(ScenarioError, match="1..10"):
         load_scenario(write(tmp_path, text.replace("checks = 2, 3", "checks = 0")))
+
+
+def test_unknown_verify_key_rejected_at_load(tmp_path):
+    path = write(tmp_path, GOOD + "\n[verify]\nbogus = 1\n")
+    with pytest.raises(ScenarioError, match=r"unknown \[verify\] key 'bogus'") as info:
+        load_scenario(path)
+    assert str(path) in str(info.value)
+
+
+def test_unparseable_verify_value_rejected_at_load(tmp_path):
+    text = GOOD + "\n[verify]\nscaling_ns = a, b\n"
+    with pytest.raises(ScenarioError, match=r"\[verify\] scaling_ns: cannot parse"):
+        load_scenario(write(tmp_path, text))
+
+
+def test_verify_seed_follows_the_final_seed_unless_set(tmp_path):
+    assert load_scenario(write(tmp_path, GOOD)).verify.seed == 42
+    assert load_scenario(write(tmp_path, GOOD), seed=7).verify.seed == 7
+    pinned = write(tmp_path, GOOD + "\n[verify]\nseed = 9\n")
+    assert load_scenario(pinned).verify.seed == 9
+    assert load_scenario(pinned, seed=7).verify.seed == 9
 
 
 def test_scenario_runs_builds_one_run_per_observable(tmp_path):
