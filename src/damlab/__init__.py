@@ -19,6 +19,7 @@ from .estimation import (
     dam_estimate,
     gad_channel_decomposition_check,
     identity_link,
+    ideal_error_floor,
     mc_dam_error,
     multiparam_error_formula,
     qfi_output_bound_check,
@@ -100,6 +101,7 @@ __all__ = [
     "dam_estimate",
     "dam_error_formula",
     "multiparam_error_formula",
+    "ideal_error_floor",
     "mc_dam_error",
     "conventional_povm_error",
     "qfi_state",

@@ -299,22 +299,9 @@ def _check_qfi_suite(p):
 def _check_multiparameter(p):
     link1 = identity_link()
     runs = [_gad_run(th, p.multi_t, p.multi_n, p.multi_sigma) for th in p.multi_theta]
-    singles = [
-        dam_error_formula(
-            r.bundle, EXCITED_PROJECTOR, link1, p.multi_sigma, p.multi_n, p.multi_t
-        )
-        for r in runs
-    ]
-    m = len(p.multi_theta)
-    link = identity_link(domain=tuple((0.0, 1.0) for _ in range(m)))
-    combined = multiparam_error_formula(
-        [r.bundle for r in runs],
-        [EXCITED_PROJECTOR] * m,
-        link,
-        p.multi_sigma,
-        p.multi_n,
-        p.multi_t,
-    )
+    singles = [dam_error_formula(r, link1) for r in runs]
+    link = identity_link(domain=tuple((0.0, 1.0) for _ in runs))
+    combined = multiparam_error_formula(runs, link)
     hypot = math.sqrt(sum(s * s for s in singles))
     rep = mc_dam_error(runs, link, p.multi_trials, [p.seed, 9])
     z = _bias_z(rep.theta_hat, np.asarray(p.multi_theta), np.asarray(singles),
@@ -331,15 +318,10 @@ def _check_multiparameter(p):
 
 
 def _check_determinism_reduction(p):
-    run = _gad_run(p.theta, p.pointer_t, 1.0, p.sigma)
+    run5 = _gad_run(p.theta, p.pointer_t, 5.0, p.sigma)
     link = identity_link()
-    single = dam_error_formula(
-        run.bundle, EXCITED_PROJECTOR, link, p.sigma, 5.0, p.pointer_t
-    )
-    multi = multiparam_error_formula(
-        [run.bundle], [EXCITED_PROJECTOR], link, p.sigma, 5.0, p.pointer_t
-    )
-    reduction = abs(single - multi)
+    single = dam_error_formula(run5, link)
+    reduction = abs(single - multiparam_error_formula(run5, link))
 
     blobs = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -358,7 +340,7 @@ def _check_determinism_reduction(p):
             blobs.append(path.read_bytes())
     stable = blobs[0] == blobs[1] == blobs[2]
 
-    dist = pointer_distribution(run, "exact")
+    dist = pointer_distribution(_gad_run(p.theta, p.pointer_t, 1.0, p.sigma), "exact")
     s1 = sample_pointer(dist, np.random.SeedSequence([p.seed, 10]), 5000)
     s2 = sample_pointer(dist, np.random.SeedSequence([p.seed, 10]), 5000)
     replay = bool(np.array_equal(s1, s2))

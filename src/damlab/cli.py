@@ -21,7 +21,7 @@ import numpy as np
 from .acceptance import run_checks, write_report
 from .backend import KERNEL_BACKEND
 from .estimation import qfi_random_probe_bounds
-from .models import _bordered_solve, dissipation_coefficient, steady_state_bundle
+from .models import _bordered_solve, dissipation_coefficient, is_gad, steady_state_bundle
 from .operators import vectorize
 from .pointer import pointer_distribution
 from .scenario import ScenarioError, load_scenario, scenario_runs
@@ -103,7 +103,7 @@ def cmd_steady(scn, args, out_dir):
                   "steady-state diagnostics; dimensionless"),
     )
     payload = {
-        "model": scn.model_name,
+        "model": scn.model.name,
         "theta": [float(v) for v in scn.theta],
         "gap": bundle.gap,
         "rho_diag": [float(bundle.rho_ss[i, i].real) for i in range(d)],
@@ -112,7 +112,7 @@ def cmd_steady(scn, args, out_dir):
         "csv": str(csv_path),
     }
     lines = [
-        f"model {scn.model_name} at theta = {[float(v) for v in scn.theta]}",
+        f"model {scn.model.name} at theta = {[float(v) for v in scn.theta]}",
         f"steady state diagonal: {[f'{bundle.rho_ss[i, i].real:.6g}' for i in range(d)]}",
         f"dissipative gap: {bundle.gap:.6g}",
     ]
@@ -146,7 +146,7 @@ def cmd_dam_distribution(scn, args, out_dir):
     )
     center = run.n * run.bundle.expectation(run.observable)
     chart = LineChart(
-        title=f"pointer density, {scn.model_name}, T={run.t:g}, N={run.n:g}",
+        title=f"pointer density, {scn.model.name}, T={run.t:g}, N={run.n:g}",
         xlabel="pointer position q",
         ylabel="probability density",
     )
@@ -182,7 +182,7 @@ def cmd_scaling(scn, args, out_dir):
     sweep_csv(result, csv_path)
     dam = result.series("dam")
     chart = LineChart(
-        title=f"estimation error vs {result.axis}, {scn.model_name}",
+        title=f"estimation error vs {result.axis}, {scn.model.name}",
         xlabel=result.axis,
         ylabel="parameter error",
         xlog=True,
@@ -226,7 +226,7 @@ def cmd_nonadiabaticity(scn, args, out_dir):
     csv_path = out_dir / "nonadiabaticity.csv"
     sweep_csv(result, csv_path)
     rows = result.series("delta")
-    chart = LineChart(title=f"kernel deviation vs T, {scn.model_name}",
+    chart = LineChart(title=f"kernel deviation vs T, {scn.model.name}",
                       xlabel="T", ylabel="Delta", xlog=True, ylog=True)
     chart.add("exact", [r.value for r in rows], [r.delta for r in rows])
     chart.add("leading 1/T form", [r.value for r in rows],
@@ -247,7 +247,7 @@ def cmd_nonadiabaticity(scn, args, out_dir):
 
 
 def cmd_qfi_bound(scn, args, out_dir):
-    if scn.model.param_dim != 1 or scn.model_name != "gad":
+    if not is_gad(scn.model):
         raise ScenarioError(
             "the output-bound check is defined for the registered gad model"
         )

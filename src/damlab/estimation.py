@@ -10,7 +10,7 @@ squared deviations.
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 # numpy loads it lazily; load it with damlab, not inside the first run
@@ -30,6 +30,7 @@ __all__ = [
     "dam_estimate",
     "dam_error_formula",
     "multiparam_error_formula",
+    "ideal_error_floor",
     "mc_dam_error",
     "conventional_povm_error",
     "qfi_state",
@@ -53,15 +54,14 @@ class LinkFunction:
 
     forward: theta (m,) -> expectations (m,). inverse goes the other way;
     jacobian_inverse(avec) is the (m, m) Jacobian of the inverse map.
-    domain/image are per-axis (lo, hi) boxes; inverse_batch applies the
-    inverse to an (n, m) block of rows at once.
+    image is the per-axis (lo, hi) box of expectations; inverse_batch
+    applies the inverse to an (n, m) block of rows at once.
     """
 
     m: int
     forward: Callable
     inverse: Callable
     jacobian_inverse: Callable
-    domain: tuple
     image: tuple
     inverse_batch: Callable
 
@@ -80,7 +80,6 @@ def identity_link(domain=((0.0, 1.0),)):
         forward=as_vec,
         inverse=as_vec,
         jacobian_inverse=lambda a: eye.copy(),
-        domain=domain,
         image=domain,
         inverse_batch=lambda rows: np.asarray(rows, dtype=float).copy(),
     )
@@ -194,7 +193,6 @@ def steady_expectation_link(model, a):
         forward=forward,
         inverse=_invert,
         jacobian_inverse=jacobian_inverse,
-        domain=((lo + margin, hi - margin),),
         image=((float(a_sorted[0]), float(a_sorted[-1])),),
         inverse_batch=lambda rows: _invert(rows).reshape(-1, 1),
     )
@@ -231,47 +229,55 @@ def _estimate_batch(qs, n, link):
     return thetas, clamp_mask
 
 
-def multiparam_error_formula(bundles, observables, link, sigma, n, t):
-    """Predicted error for M jointly estimated parameters.
+def _shared_runs(runs, link):
+    """One run or a list of runs, one per link parameter, as a list; the runs
+    must share N, T and sigma."""
+    runs = [runs] if isinstance(runs, DamRun) else list(runs)
+    if link.m != len(runs):
+        raise ValueError(f"link expects {link.m} runs, got {len(runs)}")
+    if len({(r.n, r.t, r.apparatus.sigma) for r in runs}) > 1:
+        raise ValueError("runs must share N, T and sigma")
+    return runs
+
+
+def _jacobian_inverse(runs, link):
+    """The link's inverse Jacobian at the runs' steady expectations."""
+    avec = np.array([r.bundle.expectation(r.observable) for r in runs])
+    jinv = np.asarray(link.jacobian_inverse(avec), dtype=float)
+    if jinv.shape != (link.m, link.m) or not np.all(np.isfinite(jinv)):
+        raise ValueError("singular link Jacobian")
+    return jinv
+
+
+def multiparam_error_formula(runs, link):
+    """Predicted error for M jointly estimated parameters, one run each.
 
     (1/N) sqrt( sum_ij J_ij^2 [sigma^2 - (2N/T) Re c_j + (N Im c_j/(T sigma))^2] )
     with J the Jacobian of the inverse link at the operating point and
     c_j = tr(A_j S(A_j rho)). Reduces to the single-parameter formula at M=1.
     """
-    observables = list(observables)
-    m = len(observables)
-    if link.m != m:
-        raise ValueError(f"link expects {link.m} observables, got {m}")
-    if isinstance(bundles, (list, tuple)):
-        bundles = list(bundles)
-        if len(bundles) == 1:
-            bundles = bundles * m
-    else:
-        bundles = [bundles] * m
-    if len(bundles) != m:
-        raise ValueError("need one bundle per observable (or a single shared one)")
-    avec = np.array([b.expectation(a) for b, a in zip(bundles, observables)])
-    jinv = np.asarray(link.jacobian_inverse(avec), dtype=float)
-    if jinv.shape != (m, m) or not np.all(np.isfinite(jinv)):
-        raise ValueError("singular link Jacobian")
-    n = float(n)
-    t = float(t)
+    runs = _shared_runs(runs, link)
+    jinv = _jacobian_inverse(runs, link)
     total = 0.0
-    for j in range(m):
-        bracket = variance_closed_form(bundles[j], observables[j], sigma, n, t)
-        total += float(np.sum(jinv[:, j] ** 2)) * bracket
-    return float(np.sqrt(total) / n)
+    for j, run in enumerate(runs):
+        total += float(np.sum(jinv[:, j] ** 2)) * variance_closed_form(run)
+    return float(np.sqrt(total) / runs[0].n)
 
 
-def dam_error_formula(bundle, a, link, sigma, n, t):
+def dam_error_formula(run, link):
     """Predicted single-parameter error, sqrt(Var q) / (N |df/dtheta|)."""
-    if link.m != 1:
-        raise ValueError("single-parameter formula needs a one-parameter link")
-    avec = np.array([bundle.expectation(a)])
-    jinv = np.asarray(link.jacobian_inverse(avec), dtype=float)
-    if not np.all(np.isfinite(jinv)) or np.abs(jinv).max() > 1e12:
+    error = multiparam_error_formula(run, link)
+    if np.abs(_jacobian_inverse([run], link)).max() > 1e12:
         raise ValueError("non-identifiable at theta: link derivative vanishes")
-    return multiparam_error_formula([bundle], [a], link, sigma, n, t)
+    return error
+
+
+def ideal_error_floor(runs, link):
+    """The infinite-time pointer floor sigma ||J||_F / N of one run per link
+    parameter, J the Jacobian of the inverse link."""
+    runs = _shared_runs(runs, link)
+    jinv = _jacobian_inverse(runs, link)
+    return float(runs[0].apparatus.sigma * np.sqrt((jinv**2).sum()) / runs[0].n)
 
 
 @dataclass(frozen=True)
@@ -282,10 +288,7 @@ class EstimationReport:
     predicted_error: float
     empirical_error: float
     ci: tuple
-    n: float
-    t: Optional[float]
     trials: int
-    seed: object
     notes: dict
 
 
@@ -418,20 +421,11 @@ def mc_dam_error(runs, link, trials, seed):
     distributions with per-observable seed substreams; runs with more than 1%
     clamped readings are rejected instead of silently biasing the estimate.
     """
-    if isinstance(runs, DamRun):
-        runs = [runs]
-    runs = list(runs)
     trials = int(trials)
     if trials < 100:
         raise ValueError("need at least 100 trials")
+    runs = _shared_runs(runs, link)
     m = len(runs)
-    if link.m != m:
-        raise ValueError(f"link expects {link.m} runs, got {m}")
-    n = runs[0].n
-    t = runs[0].t
-    sigma = runs[0].apparatus.sigma
-    if any(r.n != n or r.t != t or r.apparatus.sigma != sigma for r in runs):
-        raise ValueError("runs must share N, T and sigma")
     # run j estimates component j: either each run is a single-parameter
     # marginal model, or all runs share the full parameter vector
     theta_true = np.empty(m)
@@ -453,7 +447,7 @@ def mc_dam_error(runs, link, trials, seed):
             for j, d in enumerate(dists)
         ]
     )
-    thetas, clamp_mask = _estimate_batch(qs, n, link)
+    thetas, clamp_mask = _estimate_batch(qs, runs[0].n, link)
     clamp_fraction = float(clamp_mask.mean())
     if clamp_fraction > 0.01:
         raise ValueError(
@@ -461,18 +455,13 @@ def mc_dam_error(runs, link, trials, seed):
         )
     dev2 = ((thetas - theta_true) ** 2).sum(axis=1)
     empirical = float(np.sqrt(dev2.mean()))
-    predicted = multiparam_error_formula(
-        [r.bundle for r in runs], [r.observable for r in runs], link, sigma, n, t
-    )
+    predicted = multiparam_error_formula(runs, link)
     return EstimationReport(
         theta_hat=thetas.mean(axis=0),
         predicted_error=predicted,
         empirical_error=empirical,
         ci=_chi2_ci(empirical, trials * m),
-        n=n,
-        t=t,
         trials=trials,
-        seed=seed,
         notes={
             "clamp_fraction": clamp_fraction,
             "mean_shift": [float(d.mean - r.n * r.bundle.expectation(r.observable))
@@ -503,10 +492,7 @@ def conventional_povm_error(theta, n, trials, seed):
         predicted_error=predicted,
         empirical_error=empirical,
         ci=_chi2_ci(empirical, trials),
-        n=float(n),
-        t=None,
         trials=trials,
-        seed=seed,
         notes={"clamp_fraction": 0.0},
     )
 

@@ -38,6 +38,7 @@ __all__ = [
     "LindbladModel",
     "SteadyStateBundle",
     "gad_model",
+    "is_gad",
     "product_gad_model",
     "steady_state_bundle",
     "gad_pseudoinverse_closed_form",
@@ -225,6 +226,12 @@ def gad_model():
         jumps=((SIGMA_MINUS, 0.0, (1.0,)), (SIGMA_PLUS, 1.0, (-1.0,))),
     )
     return _check_probe_gap(model, np.array([0.5]))
+
+
+def is_gad(model):
+    """Whether ``model`` is the registered gad model, not a model file that
+    takes its name. The name test spares building gad for other models."""
+    return model.name == "gad" and model is gad_model()
 
 
 def _embed(op, site, m):

@@ -26,7 +26,7 @@ chirp-z transform, computed by Bluestein's algorithm with one FFT convolution.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 # numpy loads these lazily; load them with damlab, not inside the first run
@@ -102,14 +102,15 @@ class ApparatusConfig:
 def default_apparatus(sigma=0.1):
     """p grid of 161 points over +-6 sigma', q grid of 2048 points over +-8 sigma."""
     sigma = float(sigma)
-    sigma_p = 1.0 / (2.0 * sigma)
-    return ApparatusConfig(
+    # the config checks sigma before sigma_p divides by it
+    app = ApparatusConfig(
         sigma=sigma,
-        p_halfwidth=6.0 * sigma_p,
+        p_halfwidth=1.0,
         p_points=161,
         q_halfwidth=8.0 * sigma,
         q_points=2048,
     )
+    return replace(app, p_halfwidth=6.0 * app.sigma_p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,13 +428,14 @@ def pointer_distribution(run, kernel_source="exact"):
     )
 
 
-def variance_closed_form(bundle, a, sigma, n, t):
-    """Predicted pointer variance at finite coupling time.
+def variance_closed_form(run):
+    """Predicted pointer variance of a run at finite coupling time.
 
     sigma^2 - (2N/T) Re c + (N Im c / (T sigma))^2 with c = tr(A S(A rho)).
     """
-    coeff = dissipation_coefficient(bundle, a)
-    sigma = float(sigma)
+    coeff = dissipation_coefficient(run.bundle, run.observable)
+    sigma = float(run.apparatus.sigma)
+    n, t = run.n, run.t
     return float(
         sigma * sigma
         - (2.0 * n / t) * coeff.real

@@ -46,6 +46,7 @@ import configparser
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -274,7 +275,6 @@ class Scenario:
     path: str
     sha256: str
     model: LindbladModel
-    model_name: str
     theta: np.ndarray
     observables: tuple  # of (label, matrix)
     link_kind: str
@@ -291,8 +291,15 @@ class Scenario:
     verify: VerifyParams
 
 
+def _float(raw):
+    val = float(raw)
+    if not math.isfinite(val):
+        raise ValueError(f"non-finite value {raw!r}")
+    return val
+
+
 def _floats(raw):
-    vals = [float(v) for v in raw.replace(",", " ").split()]
+    vals = [_float(v) for v in raw.replace(",", " ").split()]
     if not vals:
         raise ValueError("empty list")
     return tuple(vals)
@@ -304,7 +311,7 @@ def _ints(raw):
 
 def _field_parsers(cls):
     """Parser per field of a dataclass, by the field's type."""
-    parsers = {tuple: _floats, int: int, float: float}
+    parsers = {tuple: _floats, int: int, float: _float}
     return {f.name: parsers[f.type] for f in fields(cls)}
 
 
@@ -312,7 +319,7 @@ def _field_parsers(cls):
 _SCHEMA = {
     "model": {"name": str, "file": str, "theta": _floats, "observable": str},
     "apparatus": _field_parsers(ApparatusConfig),
-    "run": {"t": float, "n": float, "n_over_t": float, "link": str, "trials": int,
+    "run": {"t": _float, "n": _float, "n_over_t": _float, "link": str, "trials": int,
             "seed": int, "out_dir": str},
     "sweep": {"axis": str, "values": _floats},
     "verify": {"checks": _ints, **_field_parsers(VerifyParams)},
@@ -375,16 +382,15 @@ def load_scenario(path, seed=None, out_dir=None):
         if "name" in model_keys:
             _fail(path, "[model] must set exactly one of name/file")
         model, named = load_model_file((path.parent / model_keys["file"]).resolve())
-        model_name = model.name
     else:
-        model_name = _required(model_keys, "model", "name", path)
-        if model_name not in _REGISTERED:
+        name = _required(model_keys, "model", "name", path)
+        if name not in _REGISTERED:
             _fail(
                 path,
-                f"unknown model {model_name!r} (registered: "
+                f"unknown model {name!r} (registered: "
                 f"{', '.join(sorted(_REGISTERED))})",
             )
-        model = _REGISTERED[model_name]()
+        model = _REGISTERED[name]()
 
     theta = np.asarray(_required(model_keys, "model", "theta", path))
     if theta.size != model.param_dim:
@@ -434,6 +440,8 @@ def load_scenario(path, seed=None, out_dir=None):
             _fail(path, "sweep values must be ascending")
         if len(set(sweep_values)) != len(sweep_values):
             _fail(path, "sweep values must be distinct")
+    if "n_over_t" in run and sweep_axis != "T":
+        _fail(path, "[run] n_over_t applies to T sweeps only ([sweep] axis = T)")
 
     checks = parsed["verify"].pop("checks", None)
     if checks is not None and not (checks and all(1 <= c <= 10 for c in checks)):
@@ -448,7 +456,6 @@ def load_scenario(path, seed=None, out_dir=None):
         path=str(path),
         sha256=digest,
         model=model,
-        model_name=model_name,
         theta=theta,
         observables=observables,
         link_kind=link_kind,

@@ -33,10 +33,11 @@ import numpy as np
 from .estimation import (
     conventional_povm_error,
     identity_link,
+    ideal_error_floor,
     mc_dam_error,
     steady_expectation_link,
 )
-from .models import dissipation_coefficient
+from .models import dissipation_coefficient, is_gad
 from .pointer import nonadiabaticity
 from .scenario import scenario_runs
 
@@ -189,7 +190,7 @@ def scaling_sweep(scn):
     if axis == "theta" and scn.model.param_dim != 1:
         raise ValueError("theta sweeps are single-parameter only")
     link = scenario_link(scn)
-    want_povm = scn.model_name == "gad" and scn.link_kind == "identity"
+    want_povm = is_gad(scn.model) and scn.link_kind == "identity"
     result = SweepResult(command="scaling", axis=axis, scenario_sha256=scn.sha256)
 
     for idx, value in enumerate(scn.sweep_values):
@@ -224,11 +225,7 @@ def scaling_sweep(scn):
             )
         )
 
-        avec = np.array([r.bundle.expectation(r.observable) for r in runs])
-        jinv = np.asarray(link.jacobian_inverse(avec), dtype=float)
-        floor = float(
-            scn.apparatus.sigma * np.sqrt((jinv**2).sum()) / n
-        )
+        floor = ideal_error_floor(runs, link)
         result.rows.append(
             SweepRow(series="ideal", axis=axis, value=float(value), predicted=floor)
         )
@@ -254,14 +251,13 @@ def scaling_sweep(scn):
     return result
 
 
-def leading_nonadiabaticity(bundle, a, sigma, t):
-    """First-order Delta: (2 sigma'^2 / T) sqrt(3 (Re c)^2 + (Im c)^2)."""
-    coeff = dissipation_coefficient(bundle, a)
-    sigma_p = 1.0 / (2.0 * float(sigma))
+def leading_nonadiabaticity(run):
+    """Leading Delta at N = 1: (2 sigma'^2 / T) sqrt(3 (Re c)^2 + (Im c)^2)."""
+    coeff = dissipation_coefficient(run.bundle, run.observable)
     return float(
         2.0
-        * sigma_p**2
-        / float(t)
+        * run.apparatus.sigma_p**2
+        / run.t
         * math.sqrt(3.0 * coeff.real**2 + coeff.imag**2)
     )
 
@@ -276,7 +272,6 @@ def nonadiabaticity_sweep(scn):
         raise ValueError("non-adiabaticity sweeps run over the T axis")
     if scn.model.param_dim != 1:
         raise ValueError("non-adiabaticity sweeps are single-parameter only")
-    a = scn.observables[0][1]
     result = SweepResult(
         command="nonadiabaticity", axis="T", scenario_sha256=scn.sha256
     )
@@ -290,9 +285,7 @@ def nonadiabaticity_sweep(scn):
                 series="delta",
                 axis="T",
                 value=float(value),
-                predicted=leading_nonadiabaticity(
-                    run.bundle, a, scn.apparatus.sigma, value
-                ),
+                predicted=leading_nonadiabaticity(run),
                 delta=delta,
                 runtime_ms=elapsed,
             )

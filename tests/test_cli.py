@@ -283,6 +283,12 @@ def test_configuration_errors_exit_2(tmp_path, capsys):
         "sigma = 0.1", "sigma = -0.1"), name="negsigma.ini")
     code, _, err = run_cli(capsys, "steady", "--config", cfg, "--out", tmp_path)
     assert code == 2 and "sigma must be positive" in err
+    cfg = write_cfg(tmp_path, QUICK.format(t=200, extra="").replace(
+        "sigma = 0.1", "sigma = 0"), name="zerosigma.ini")
+    code, _, err = run_cli(
+        capsys, "dam-distribution", "--config", cfg, "--out", tmp_path
+    )
+    assert code == 2 and "sigma must be positive" in err
 
     # unknown verify key
     cfg = write_cfg(
@@ -300,6 +306,24 @@ def test_configuration_errors_exit_2(tmp_path, capsys):
     )
     code, _, err = run_cli(capsys, "steady", "--config", cfg, "--out", tmp_path)
     assert code == 2 and "nope.json" in err
+
+
+def test_model_file_named_gad_is_not_the_builtin(tmp_path, capsys):
+    # only the registered gad model gets the gad bound and the povm baseline,
+    # whatever name a model file gives itself
+    text = (CONFIG_DIR / "driven_gad.json").read_text()
+    (tmp_path / "fake.json").write_text(text.replace('"driven_gad"', '"gad"'))
+    cfg = write_cfg(
+        tmp_path,
+        QUICK.format(t=2000, extra="[sweep]\naxis = N\nvalues = 1, 4\n")
+        .replace("name = gad", "file = fake.json"),
+    )
+    code, _, err = run_cli(capsys, "qfi-bound", "--config", cfg, "--out", tmp_path)
+    assert code == 2 and "registered gad model" in err
+    code, _, err = run_cli(capsys, "scaling", "--config", cfg, "--out", tmp_path)
+    assert code == 0, err
+    rows = read_csv(tmp_path / "scaling.csv")
+    assert {r["series"] for r in rows} == {"dam", "ideal"}
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from damlab.estimation import (
     dam_estimate,
     gad_channel_decomposition_check,
     identity_link,
+    ideal_error_floor,
     mc_dam_error,
     multiparam_error_formula,
     qfi_output_bound_check,
@@ -247,8 +248,7 @@ def test_estimate_applies_inverse_and_clamps():
 
 
 def test_error_formula_value():
-    b = steady_state_bundle(gad_model(), (0.3,))
-    got = dam_error_formula(b, A, identity_link(), 0.1, 100, 1000.0)
+    got = dam_error_formula(gad_run(0.3, 100, 1000.0), identity_link())
     assert got == pytest.approx(np.sqrt(0.052) / 100, rel=1e-12)
 
 
@@ -257,27 +257,34 @@ def test_error_formula_consistency_over_theta():
     link = identity_link()
     slink = steady_expectation_link(gad_model(), A)
     for th in rng.uniform(0.05, 0.95, 20):
-        b = steady_state_bundle(gad_model(), (th,))
+        run = gad_run(th, 10, 500.0)
         explicit = np.sqrt(0.1**2 + 2 * th * (1 - th) * 10 / 500.0) / 10
-        assert abs(dam_error_formula(b, A, link, 0.1, 10, 500.0) - explicit) <= 1e-12
-        assert abs(dam_error_formula(b, A, slink, 0.1, 10, 500.0) - explicit) <= 1e-9
+        assert abs(dam_error_formula(run, link) - explicit) <= 1e-12
+        assert abs(dam_error_formula(run, slink) - explicit) <= 1e-9
 
 
 def test_single_parameter_reduction_is_exact():
-    b = steady_state_bundle(gad_model(), (0.3,))
+    run = gad_run(0.3, 10, 500.0)
     link = identity_link()
-    single = dam_error_formula(b, A, link, 0.1, 10, 500.0)
-    multi = multiparam_error_formula([b], [A], link, 0.1, 10, 500.0)
+    single = dam_error_formula(run, link)
+    multi = multiparam_error_formula([run], link)
     assert single == multi  # bitwise, same code path
 
 
 def test_multiparam_product_value():
-    m2 = product_gad_model(2)
-    b = steady_state_bundle(m2, (0.2, 0.6))
-    a1 = np.kron(A, np.eye(2))
-    a2 = np.kron(np.eye(2), A)
+    runs = [
+        DamRun(
+            model=product_gad_model(2),
+            theta=(0.2, 0.6),
+            observable=a,
+            t=500.0,
+            n=10,
+            apparatus=default_apparatus(0.1),
+        )
+        for a in (np.kron(A, np.eye(2)), np.kron(np.eye(2), A))
+    ]
     link = identity_link(domain=((0.0, 1.0), (0.0, 1.0)))
-    got = multiparam_error_formula(b, [a1, a2], link, 0.1, 10, 500.0)
+    got = multiparam_error_formula(runs, link)
     per = [
         np.sqrt(0.1**2 + 2 * th * (1 - th) * 10 / 500.0) / 10 for th in (0.2, 0.6)
     ]
@@ -286,20 +293,42 @@ def test_multiparam_product_value():
 
 
 def test_singular_jacobian_is_rejected():
-    b = steady_state_bundle(gad_model(), (0.3,))
+    run = gad_run(0.3, 10, 500.0)
     bad = LinkFunction(
         m=1,
         forward=lambda th: th,
         inverse=lambda a: a,
         jacobian_inverse=lambda a: np.array([[np.inf]]),
-        domain=((0.0, 1.0),),
         image=((0.0, 1.0),),
         inverse_batch=lambda rows: rows,
     )
     with pytest.raises(ValueError):
-        multiparam_error_formula([b], [A], bad, 0.1, 10, 500.0)
+        multiparam_error_formula([run], bad)
     with pytest.raises(ValueError):
-        dam_error_formula(b, A, identity_link(domain=((0, 1), (0, 1))), 0.1, 10, 500.0)
+        dam_error_formula(run, identity_link(domain=((0, 1), (0, 1))))
+
+
+@pytest.mark.parametrize("n, t, sigma", [(20, 500.0, 0.1), (10, 400.0, 0.1),
+                                          (10, 500.0, 0.2)])
+def test_runs_must_share_n_t_and_sigma(n, t, sigma):
+    link = identity_link(domain=((0.0, 1.0), (0.0, 1.0)))
+    runs = [gad_run(0.2, 10, 500.0), gad_run(0.6, n, t, sigma=sigma)]
+    for refuse in (
+        lambda: multiparam_error_formula(runs, link),
+        lambda: ideal_error_floor(runs, link),
+        lambda: mc_dam_error(runs, link, 200, 1),
+    ):
+        with pytest.raises(ValueError, match="share N, T and sigma"):
+            refuse()
+
+
+def test_ideal_error_floor_value():
+    # gad read through the excited projector has f(theta) = theta, so the
+    # floor is sigma / N under either link
+    run = gad_run(0.3, 10, 500.0)
+    assert ideal_error_floor(run, identity_link()) == pytest.approx(0.01, rel=1e-15)
+    slink = steady_expectation_link(gad_model(), A)
+    assert ideal_error_floor([run], slink) == pytest.approx(0.01, rel=1e-9)
 
 
 # ---------------------------------------------------------- monte carlo
@@ -492,7 +521,6 @@ def test_povm_baseline():
     assert rep.predicted_error == pytest.approx(np.sqrt(0.21 / 10**4), rel=1e-12)
     rel = abs(rep.empirical_error - rep.predicted_error) / rep.predicted_error
     assert rel <= 0.05
-    assert rep.t is None
     with pytest.raises(ValueError):
         conventional_povm_error(0.0, 10, 100, 1)
     with pytest.raises(ValueError):
@@ -625,10 +653,9 @@ def test_saturation_point_grows_with_t():
     # the N at which it doubles from sigma (the end of the useful region)
     # stretches proportionally to T
     link = identity_link()
-    b = steady_state_bundle(gad_model(), (0.3,))
 
     def scaled_errors(t, ns):
-        return np.array([dam_error_formula(b, A, link, 0.1, n, t) * n for n in ns])
+        return np.array([dam_error_formula(gad_run(0.3, n, t), link) * n for n in ns])
 
     for t in (200.0, 400.0):
         ns = np.arange(1, 10 * int(t) + 1, 13)

@@ -174,8 +174,7 @@ def test_ideal_distribution_is_shifted_gaussian():
 
 def test_exact_distribution_moments():
     d = pointer_distribution(gad_run())
-    b = steady_state_bundle(gad_model(), (0.3,))
-    predicted = variance_closed_form(b, EXCITED_PROJECTOR, 0.1, 1, 200.0)
+    predicted = variance_closed_form(gad_run())
     assert predicted == pytest.approx(0.0121)
     assert abs(d.mean - 0.3) <= 1e-9
     assert abs(d.variance - predicted) / predicted <= 5e-3
@@ -198,8 +197,7 @@ def test_variance_closed_form_gad_identity():
     # for undriven GAD, c = -theta(1-theta) exactly, so the closed form is
     # sigma^2 + 2 theta (1-theta) N / T
     for theta, n, t in ((0.3, 1, 200.0), (0.5, 10, 500.0)):
-        b = steady_state_bundle(gad_model(), (theta,))
-        got = variance_closed_form(b, EXCITED_PROJECTOR, 0.1, n, t)
+        got = variance_closed_form(gad_run(theta=theta, t=t, n=n))
         expect = 0.01 + 2.0 * theta * (1 - theta) * n / t
         assert abs(got - expect) <= 1e-12
 
@@ -220,7 +218,7 @@ def test_driven_variance_needs_imaginary_term():
         apparatus=default_apparatus(0.1),
     )
     d = pointer_distribution(run)
-    full = variance_closed_form(b, A_TILTED, 0.1, 5, 1000.0)
+    full = variance_closed_form(run)
     truncated = 0.01 - 2.0 * 5 / 1000.0 * c.real
     assert abs(d.variance - full) / full <= 3e-4
     assert abs(d.variance - truncated) / truncated >= 4e-4
@@ -254,11 +252,10 @@ def test_mean_shift_envelope():
 
 
 def test_variance_residual_scales_as_t_squared():
-    b = steady_state_bundle(gad_model(), (0.3,))
     coeffs = []
     for t in (200.0, 400.0):
-        d = pointer_distribution(gad_run(t=t))
-        resid = abs(d.variance - variance_closed_form(b, EXCITED_PROJECTOR, 0.1, 1, t))
+        run = gad_run(t=t)
+        resid = abs(pointer_distribution(run).variance - variance_closed_form(run))
         coeffs.append(resid * t * t)
     assert 0.5 <= coeffs[0] / coeffs[1] <= 2.0
 

@@ -40,7 +40,7 @@ def write(tmp_path, text, name="scn.ini"):
 
 def test_minimal_scenario_parses(tmp_path):
     scn = load_scenario(write(tmp_path, GOOD))
-    assert scn.model_name == "gad"
+    assert scn.model.name == "gad"
     assert scn.theta.tolist() == [0.3]
     assert scn.link_kind == "identity"
     assert scn.t == 200.0 and scn.n == 1.0
@@ -97,6 +97,10 @@ def test_domain_and_value_validation(tmp_path):
         (("n = 1", "n = 0.5"), "n must be at least 1"),
         (("trials = 500", "trials = 10"), "trials must be at least 100"),
         (("observable = excited", "observable = parity"), "unknown observable"),
+        (("sigma = 0.1", "sigma = nan"), r"\[apparatus\] sigma: cannot parse 'nan'"),
+        (("t = 200", "t = inf"), r"\[run\] t: cannot parse 'inf'"),
+        (("seed = 42", "seed = 42\n[sweep]\naxis = T\nvalues = 1, inf"),
+         r"\[sweep\] values: cannot parse '1, inf'"),
     ):
         with pytest.raises(ScenarioError, match=msg):
             load_scenario(write(tmp_path, GOOD.replace(*breaker)))
@@ -147,9 +151,13 @@ def test_sweep_section_validation(tmp_path):
         (("values = 1, 2, 5", "values = 5, 2, 1"), "ascending"),
         (("values = 1, 2, 5", "values = 1, 1, 5"), "distinct"),
         (("axis = N", "axis = Q"), "axis must be"),
+        (("seed = 42", "seed = 42\nn_over_t = 0.01"), r"\[run\] n_over_t"),
     ):
         with pytest.raises(ScenarioError, match=msg):
             load_scenario(write(tmp_path, base.replace(*breaker)))
+    tied = base.replace("axis = N", "axis = T")
+    tied = tied.replace("seed = 42", "seed = 42\nn_over_t = 0.01")
+    assert load_scenario(write(tmp_path, tied)).n_over_t == 0.01
 
 
 def test_steady_link_is_single_parameter_only(tmp_path):
@@ -244,7 +252,7 @@ def test_model_file_used_from_scenario(tmp_path):
     text = GOOD.replace("name = gad", "file = m.json")
     text = text.replace("observable = excited", "observable = tilted")
     scn = load_scenario(write(tmp_path, text))
-    assert scn.model_name == "tilted_qubit"
+    assert scn.model.name == "tilted_qubit"
     assert scn.observables[0][0] == "tilted"
 
 
@@ -314,6 +322,6 @@ def test_shipped_configs_load():
         scn = load_scenario(CONFIG_DIR / name)
         assert scn.seed is not None
     driven = load_scenario(CONFIG_DIR / "driven_demo.ini")
-    assert driven.model_name == "driven_gad"
+    assert driven.model.name == "driven_gad"
     h = driven.model.hamiltonian
     assert h is not None and h[0, 1] == pytest.approx(0.35)

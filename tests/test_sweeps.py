@@ -7,6 +7,7 @@ import pytest
 
 import damlab.models
 from damlab.models import EXCITED_PROJECTOR, gad_model, steady_state_bundle
+from damlab.pointer import DamRun, default_apparatus
 from damlab.scenario import load_scenario
 from damlab.svgplot import LineChart
 from damlab.sweeps import (
@@ -20,6 +21,17 @@ from damlab.sweeps import (
     sweep_csv,
     write_csv,
 )
+
+
+def gad_run(t, sigma):
+    return DamRun(
+        model=gad_model(),
+        theta=(0.3,),
+        observable=EXCITED_PROJECTOR,
+        t=t,
+        n=1,
+        apparatus=default_apparatus(sigma),
+    )
 
 
 def scenario(tmp_path, extra="", **overrides):
@@ -187,16 +199,13 @@ def test_nonadiabaticity_sweep_tracks_leading_form(tmp_path):
     assert 0.4 < ratio < 0.65
     for r in rows:
         assert abs(r.delta / r.predicted - 1.0) < 0.12
-    bundle = steady_state_bundle(gad_model(), [0.3])
-    assert rows[0].predicted == pytest.approx(
-        leading_nonadiabaticity(bundle, EXCITED_PROJECTOR, 0.2, 100.0)
-    )
+    run = gad_run(t=100.0, sigma=0.2)
+    assert rows[0].predicted == pytest.approx(leading_nonadiabaticity(run))
 
 
 def test_leading_nonadiabaticity_value():
     # 2 sigma'^2 sqrt(3) theta(1-theta) / T with sigma' = 2.5
-    bundle = steady_state_bundle(gad_model(), [0.3])
-    got = leading_nonadiabaticity(bundle, EXCITED_PROJECTOR, 0.2, 100.0)
+    got = leading_nonadiabaticity(gad_run(t=100.0, sigma=0.2))
     assert got == pytest.approx(2.0 * 6.25 * math.sqrt(3.0) * 0.21 / 100.0,
                                 rel=1e-9)
 
