@@ -257,7 +257,10 @@ def multiparam_error_formula(runs, link):
     c_j = tr(A_j S(A_j rho)). Reduces to the single-parameter formula at M=1.
     """
     runs = _shared_runs(runs, link)
-    jinv = _jacobian_inverse(runs, link)
+    return _error_formula(runs, _jacobian_inverse(runs, link))
+
+
+def _error_formula(runs, jinv):
     total = 0.0
     for j, run in enumerate(runs):
         total += float(np.sum(jinv[:, j] ** 2)) * variance_closed_form(run)
@@ -266,8 +269,10 @@ def multiparam_error_formula(runs, link):
 
 def dam_error_formula(run, link):
     """Predicted single-parameter error, sqrt(Var q) / (N |df/dtheta|)."""
-    error = multiparam_error_formula(run, link)
-    if np.abs(_jacobian_inverse([run], link)).max() > 1e12:
+    runs = _shared_runs(run, link)
+    jinv = _jacobian_inverse(runs, link)
+    error = _error_formula(runs, jinv)
+    if np.abs(jinv).max() > 1e12:
         raise ValueError("non-identifiable at theta: link derivative vanishes")
     return error
 

@@ -115,11 +115,14 @@ def load_model_file(path):
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        # NaN, Infinity and overflowing literals such as 1e999 are refused
+        doc = json.loads(text, parse_constant=_float, parse_float=_float)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         _fail(path, "top level must be an object")
     _check_keys(doc, _MODEL_KEYS, "", path)

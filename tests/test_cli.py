@@ -363,6 +363,22 @@ def test_misspelled_model_file_key_exits_2(tmp_path, capsys):
     assert code == 2 and "unknown key 'hamiltonain'" in err and "hamiltonian" in err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e999"])
+def test_non_finite_model_file_number_exits_2(tmp_path, capsys, literal):
+    text = (CONFIG_DIR / "driven_gad.json").read_text()
+    const = '"const": 0.0'
+    assert const in text
+    (tmp_path / "driven_gad.json").write_text(
+        text.replace(const, f'"const": {literal}', 1)
+    )
+    shutil.copy(CONFIG_DIR / "driven_demo.ini", tmp_path / "driven_demo.ini")
+    code, _, err = run_cli(
+        capsys, "steady", "--config", tmp_path / "driven_demo.ini", "--out", tmp_path
+    )
+    assert code == 2, err
+    assert "driven_gad.json" in err and f"non-finite value '{literal}'" in err
+
+
 def test_module_entry_point_runs(tmp_path):
     out = subprocess.run(
         [sys.executable, "-m", "damlab.cli", "steady",

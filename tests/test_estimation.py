@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -290,6 +291,21 @@ def test_multiparam_product_value():
     ]
     assert abs(got - np.hypot(*per)) <= 1e-10
     assert got == pytest.approx(0.018973665961010275, rel=1e-12)
+
+
+def test_error_formula_inverts_the_link_jacobian_once():
+    link = steady_expectation_link(gad_model(), A)
+    calls = []
+
+    def counted(avec):
+        calls.append(avec)
+        return link.jacobian_inverse(avec)
+
+    wrapped = dataclasses.replace(link, jacobian_inverse=counted)
+    run = gad_run(0.3, 10, 500.0)
+    got = dam_error_formula(run, wrapped)
+    assert len(calls) == 1
+    assert got == dam_error_formula(run, link)
 
 
 def test_singular_jacobian_is_rejected():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,15 @@ import scipy.linalg
 import damlab
 from damlab import _kernels_py, backend
 from damlab.models import EXCITED_PROJECTOR, gad_model
-from damlab.pointer import ApparatusConfig, DamRun, pointer_distribution
+from damlab.pointer import (
+    ApparatusConfig,
+    DamRun,
+    _generator_terms,
+    _half_plane,
+    _minimal_realization,
+    default_apparatus,
+    pointer_distribution,
+)
 
 from test_pointer import A_TILTED, driven_model
 
@@ -59,6 +68,9 @@ def test_expm_batch_split_invariance_is_bitwise():
         [_kernels_py.expm_batch(a[:13]), _kernels_py.expm_batch(a[13:])]
     )
     assert np.array_equal(whole, parts)
+    # the batch mixes squaring counts 4 and 5; alone, each matrix gets its own
+    singles = np.concatenate([_kernels_py.expm_batch(a[j : j + 1]) for j in range(40)])
+    assert np.array_equal(whole, singles)
 
 
 def trace_kernel_reference(base, lin_p, lin_pp, p, pp, w, v):
@@ -106,6 +118,45 @@ def test_trace_kernels_length_mismatch():
     base, lin_p, lin_pp, p, pp, w, v = _kernel_inputs(rng)
     with pytest.raises(ValueError):
         _kernels_py.trace_kernels(base, lin_p, lin_pp, p, pp[:-1], w, v)
+
+
+def _driven_half_plane():
+    """trace_kernels arguments of the full driven/tilted grid: the 13,041
+    half-plane pairs of the default 161-point p grid on the 4x4 generator,
+    which does not reduce."""
+    app = default_apparatus(0.1)
+    run = DamRun(driven_model(), [0.3], A_TILTED, t=500.0, n=5.0, apparatus=app)
+    (base, lin_p, lin_pp, w, v), x_only = _minimal_realization(*_generator_terms(run))
+    assert base.shape == (4, 4) and not x_only
+    p = app.p_grid()
+    idx_i, idx_k = _half_plane(app)
+    return base, lin_p, lin_pp, p[idx_i], p[idx_i - idx_k], w, v
+
+
+def test_trace_kernels_streams_a_full_grid_bit_for_bit():
+    base, lin_p, lin_pp, p, pp, w, v = _driven_half_plane()
+    chunk = _kernels_py._BATCH_ELEMENTS // 16
+    assert p.size == 13_041 and p.size > 2 * chunk and p.size % chunk
+    g = (
+        base[None, :, :]
+        + p[:, None, None] * lin_p[None, :, :]
+        + pp[:, None, None] * lin_pp[None, :, :]
+    )
+    whole = (_kernels_py.expm_batch(g) @ v) @ w
+    got = _kernels_py.trace_kernels(base, lin_p, lin_pp, p, pp, w, v)
+    assert np.array_equal(got, whole)
+
+
+def test_trace_kernels_working_set_stays_small():
+    # the grid in one batch traces 35.5 MiB; streamed in chunks, 0.9 MiB
+    args = _driven_half_plane()
+    tracemalloc.start()
+    try:
+        _kernels_py.trace_kernels(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_pointer_grids_call_the_backend_kernels_attribute(monkeypatch):
