@@ -6,7 +6,13 @@ exponentials of the full coupled generator, contracted with vec(I) and
 vec(rho_ss). The grid rows time one full 161-point half-plane through
 pointer._grid_kernels, which first cuts the generator to its minimal
 realization; they print the reduced dimension and whether the grid needed
-one kernel per offset x = p - p' only. Run as
+one kernel per offset x = p - p' only.
+
+The cases: `qubit` (thermal qubit, excited-state projector; its grid reduces
+to 2x2 kernels of x alone), `driven` (configs/driven_gad.json read through
+`tilted` at T = 500, N = 5; its 4x4 grid does not reduce, so every pair is
+exponentiated in the pairs-last layout) and `two-site` (two thermal qubits,
+dense 16x16 superoperators on the per-matrix layout). Run as
 
     python3 benchmarks/bench_kernels.py [--pairs 13041] [--repeats 3]
 
@@ -15,6 +21,7 @@ Reports the best wall time over the repeats and the cost per pair.
 
 import argparse
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -28,11 +35,18 @@ from damlab.pointer import (
     _minimal_realization,
     default_apparatus,
 )
+from damlab.scenario import load_model_file
 
 EXCITED = np.diag([1.0, 0.0]).astype(complex)
+DRIVEN, OBSERVABLES = load_model_file(
+    Path(__file__).resolve().parent.parent / "configs" / "driven_gad.json"
+)
+# label, model, theta, observable, T, N, share of --pairs in the dense row
 CASES = (
-    ("qubit", gad_model(), [0.3], EXCITED),
-    ("two-site", product_gad_model(2), [0.3, 0.6], np.kron(EXCITED, np.eye(2))),
+    ("qubit", gad_model(), [0.3], EXCITED, 200.0, 1.0, 1),
+    ("driven", DRIVEN, [0.3], OBSERVABLES["tilted"], 500.0, 5.0, 1),
+    ("two-site", product_gad_model(2), [0.3, 0.6], np.kron(EXCITED, np.eye(2)),
+     200.0, 1.0, 4),
 )
 
 
@@ -68,8 +82,9 @@ def main():
     p = app.p_grid()
     idx_i, idx_k = _half_plane(app)
     p1, p2 = p[idx_i], p[idx_i - idx_k]
-    for (label, model, theta, a), pairs in zip(CASES, (args.pairs, args.pairs // 4)):
-        run = DamRun(model, theta, a, t=200.0, n=1.0, apparatus=app)
+    for label, model, theta, a, t, n, share in CASES:
+        run = DamRun(model, theta, a, t=t, n=n, apparatus=app)
+        pairs = args.pairs // share
         work = dense_workload(run, pairs)
         m = work[0].shape[0]
         t = best_time(lambda: _kernels_py.trace_kernels(*work), args.repeats)

@@ -115,8 +115,11 @@ def load_model_file(path):
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     try:
-        # NaN, Infinity and overflowing literals such as 1e999 are refused
-        doc = json.loads(text, parse_constant=_float, parse_float=_float)
+        # NaN, Infinity and overflowing literals such as 1e999 or 1 followed
+        # by 400 zeros are refused
+        doc = json.loads(
+            text, parse_constant=_float, parse_float=_float, parse_int=_json_int
+        )
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -298,6 +301,16 @@ def _float(raw):
     val = float(raw)
     if not math.isfinite(val):
         raise ValueError(f"non-finite value {raw!r}")
+    return val
+
+
+def _json_int(raw):
+    val = int(raw)
+    try:
+        float(val)
+    except OverflowError:
+        digits = len(raw.lstrip("-"))
+        raise ValueError(f"integer of {digits} digits beyond the float range") from None
     return val
 
 

@@ -379,6 +379,27 @@ def test_non_finite_model_file_number_exits_2(tmp_path, capsys, literal):
     assert "driven_gad.json" in err and f"non-finite value '{literal}'" in err
 
 
+HUGE_INT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [('"const": 0.0', f'"const": {HUGE_INT}'), ("[0.35, 0.0]", f"[{HUGE_INT}, 0]")],
+    ids=["rate-const", "hamiltonian-entry"],
+)
+def test_model_file_integer_beyond_float_range_exits_2(tmp_path, capsys, old, new):
+    text = (CONFIG_DIR / "driven_gad.json").read_text()
+    assert old in text
+    (tmp_path / "driven_gad.json").write_text(text.replace(old, new, 1))
+    shutil.copy(CONFIG_DIR / "driven_demo.ini", tmp_path / "driven_demo.ini")
+    code, _, err = run_cli(
+        capsys, "steady", "--config", tmp_path / "driven_demo.ini", "--out", tmp_path
+    )
+    assert code == 2, err
+    assert "driven_gad.json" in err
+    assert "integer of 401 digits beyond the float range" in err
+
+
 def test_module_entry_point_runs(tmp_path):
     out = subprocess.run(
         [sys.executable, "-m", "damlab.cli", "steady",

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import damlab
 from damlab import _kernels_py, backend
@@ -60,17 +62,21 @@ def test_expm_batch_rejects_bad_shapes():
 
 
 def test_expm_batch_split_invariance_is_bitwise():
-    # trace_kernels chunks its batch; chunking must not change a bit
+    # trace_kernels chunks its batch; chunking must not change a bit, in the
+    # pairs-last layout of m <= 4 and in the per-matrix one
     rng = np.random.default_rng(77)
-    a = random_batch(rng, 40, 4, 12.0)
-    whole = _kernels_py.expm_batch(a)
-    parts = np.concatenate(
-        [_kernels_py.expm_batch(a[:13]), _kernels_py.expm_batch(a[13:])]
-    )
-    assert np.array_equal(whole, parts)
-    # the batch mixes squaring counts 4 and 5; alone, each matrix gets its own
-    singles = np.concatenate([_kernels_py.expm_batch(a[j : j + 1]) for j in range(40)])
-    assert np.array_equal(whole, singles)
+    for m, scale in ((4, 12.0), (2, 12.0), (6, 9.0)):
+        a = random_batch(rng, 40, m, scale)
+        # the batch mixes squaring counts; alone, each matrix gets its own
+        norms = np.abs(a).sum(axis=1).max(axis=1)
+        assert np.unique(np.ceil(np.log2(norms / _kernels_py._THETA13))).size > 1
+        whole = _kernels_py.expm_batch(a)
+        parts = np.concatenate(
+            [_kernels_py.expm_batch(a[:13]), _kernels_py.expm_batch(a[13:])]
+        )
+        assert np.array_equal(whole, parts)
+        singles = [_kernels_py.expm_batch(a[j : j + 1]) for j in range(40)]
+        assert np.array_equal(whole, np.concatenate(singles))
 
 
 def trace_kernel_reference(base, lin_p, lin_pp, p, pp, w, v):
@@ -98,6 +104,43 @@ def test_trace_kernels_matches_direct_loop():
     got = _kernels_py.trace_kernels(*args)
     ref = trace_kernel_reference(*args)
     assert np.abs(got - ref).max() <= 1e-11
+
+
+@st.composite
+def long_dissipative_grids(draw):
+    """trace_kernels arguments of dimension 1-6, on both sides of the
+    pairs-last size rule, whose generators i H - D (H Hermitian, D >= 0)
+    have 1-norms that take 8 to 11 squarings, as the driven N = 5 and
+    N = 10 grids do. exp(i H - D) is a contraction, so |K| <= |w| |v| = 1."""
+    m = draw(st.sampled_from(range(1, 7)))
+    squarings = draw(st.integers(8, 11))
+    rank = draw(st.integers(0, m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def hermitian(scale):
+        h = random_batch(rng, 1, m, scale)[0]
+        return (h + h.conj().T) / 2.0
+
+    def unit():
+        x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        return x / np.linalg.norm(x)
+
+    base = 1j * hermitian(1.0)
+    base *= _kernels_py._THETA13 * 2.0 ** (squarings - 0.5) / np.abs(base).sum(0).max()
+    b = random_batch(rng, 1, m)[0][:, :rank]
+    base -= draw(st.floats(0.0, 1.0)) * b @ b.conj().T
+    p, pp = rng.uniform(-3.0, 3.0, (2, 12))
+    return base, 1j * hermitian(0.1), 1j * hermitian(0.1), p, pp, unit(), unit()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(long_dissipative_grids())
+def test_trace_kernels_match_scipy_across_the_layout_rule(args):
+    base, lin_p, lin_pp, p, pp = args[:5]
+    g = base + p[:, None, None] * lin_p + pp[:, None, None] * lin_pp
+    assert np.all(np.abs(g).sum(axis=1).max(axis=1) > _kernels_py._THETA13 * 2**7)
+    got = _kernels_py.trace_kernels(*args)
+    assert np.abs(got - trace_kernel_reference(*args)).max() <= 1e-11
 
 
 def test_trace_kernels_split_invariance_is_bitwise():
@@ -133,22 +176,19 @@ def _driven_half_plane():
     return base, lin_p, lin_pp, p[idx_i], p[idx_i - idx_k], w, v
 
 
-def test_trace_kernels_streams_a_full_grid_bit_for_bit():
-    base, lin_p, lin_pp, p, pp, w, v = _driven_half_plane()
+def test_trace_kernels_streams_a_full_grid_bit_for_bit(monkeypatch):
+    args = _driven_half_plane()
+    p = args[3]
     chunk = _kernels_py._BATCH_ELEMENTS // 16
     assert p.size == 13_041 and p.size > 2 * chunk and p.size % chunk
-    g = (
-        base[None, :, :]
-        + p[:, None, None] * lin_p[None, :, :]
-        + pp[:, None, None] * lin_pp[None, :, :]
-    )
-    whole = (_kernels_py.expm_batch(g) @ v) @ w
-    got = _kernels_py.trace_kernels(base, lin_p, lin_pp, p, pp, w, v)
-    assert np.array_equal(got, whole)
+    streamed = _kernels_py.trace_kernels(*args)
+    # the same grid through the same code in a single batch
+    monkeypatch.setattr(_kernels_py, "_BATCH_ELEMENTS", 16 * p.size)
+    assert np.array_equal(streamed, _kernels_py.trace_kernels(*args))
 
 
 def test_trace_kernels_working_set_stays_small():
-    # the grid in one batch traces 35.5 MiB; streamed in chunks, 0.9 MiB
+    # the grid in one batch traces 32.4 MiB; streamed in chunks, 1.0 MiB
     args = _driven_half_plane()
     tracemalloc.start()
     try:
@@ -215,3 +255,4 @@ def test_kernel_benchmark_script_runs():
     )
     assert out.returncode == 0, out.stderr
     assert "reduced dimension 4 -> 2, x-only True" in out.stdout
+    assert "13041 exponentials: reduced dimension 4 -> 4, x-only False" in out.stdout
