@@ -20,7 +20,6 @@ test oracle only.
 """
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,16 +65,17 @@ class LindbladModel:
     ``jumps`` holds (operator, const, slopes) triples: jump k has the rate
     g_k(theta) = const + slopes . theta, with one slope per parameter. The
     Hamiltonian (None for none) does not depend on theta. The Hamiltonian
-    term L_H and the unit-rate dissipators D_k are assembled once, when the
-    model is built, and stored read-only; a Liouvillian only scales and adds
-    them, in the order of ``operators.lindblad_superoperator``.
+    term L_H (None without a Hamiltonian) and the unit-rate dissipators D_k
+    are assembled once, when the model is built, and stored read-only; a
+    Liouvillian only scales and adds them, in the order of
+    ``operators.lindblad_superoperator``.
     """
 
     name: str
     param_domain: tuple
     hamiltonian: object
     jumps: tuple
-    _h_term: np.ndarray = field(init=False, repr=False)
+    _h_term: object = field(init=False, repr=False)
     _dissipators: tuple = field(init=False, repr=False)
     _consts: np.ndarray = field(init=False, repr=False)
     _slopes: np.ndarray = field(init=False, repr=False)
@@ -104,7 +104,9 @@ class LindbladModel:
                 (op, float(c), tuple(float(v) for v in s))
                 for op, c, s in zip(ops, consts, slopes)
             ),
-            "_h_term": _read_only(hamiltonian_term(h)),
+            "_h_term": (
+                None if self.hamiltonian is None else _read_only(hamiltonian_term(h))
+            ),
             "_dissipators": tuple(_read_only(dissipator(op)) for op in ops),
             "_consts": _read_only(consts),
             "_slopes": _read_only(slopes),
@@ -118,7 +120,8 @@ class LindbladModel:
 
     @property
     def system_dim(self):
-        return math.isqrt(self._h_term.shape[0])
+        h = self.hamiltonian
+        return (self.jumps[0][0] if h is None else h).shape[0]
 
     def contains(self, theta):
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -142,7 +145,8 @@ class LindbladModel:
             raise ValueError(f"negative jump rate {float(rates[rates < 0][0])}")
         gen = self._h_term
         for k, dk in enumerate(self._dissipators):
-            gen = gen + rates[..., k, None, None] * dk
+            term = rates[..., k, None, None] * dk
+            gen = term if gen is None else gen + term
         # without jumps gen is still the stored term, which callers must not get
         return gen if self._dissipators else gen.copy()
 
@@ -156,7 +160,8 @@ class LindbladModel:
 
     def liouvillian_derivatives(self):
         """dL/dtheta_i = sum_k slopes_k[i] D_k, stacked to (M, d^2, d^2)."""
-        out = np.zeros((self.param_dim,) + self._h_term.shape, dtype=complex)
+        d2 = self.system_dim**2
+        out = np.zeros((self.param_dim, d2, d2), dtype=complex)
         for s, dk in zip(self._slopes, self._dissipators):
             out += s[:, None, None] * dk
         return out

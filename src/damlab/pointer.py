@@ -22,6 +22,18 @@ reachable from vec(rho_ss) and observable from vec(I). Where A X = X A on
 that subspace, K depends on x alone and a grid needs one exponential per
 offset. Both grids are uniform, so the final transform onto the q grid is a
 chirp-z transform, computed by Bluestein's algorithm with one FFT convolution.
+
+Only the factor N depends on N: K = w . exp(N G) . v with the N-free
+generator G = T L - i (p A . - p' . A). A grid's realization and its
+dominant-mode table (``_kernels_py.mode_table``: per pair the eigenvalue lam
+of G of largest real part and the weight c of its mode, K = c exp(N lam))
+are therefore built once per (model, theta, observable, T, apparatus) and
+kept in a memo of the ``_MODE_MEMO_SIZE`` = 4 most recently used keys, so
+the runs of an N sweep share them. An entry holds the reduced matrices and
+two complex numbers per computed pair (408 KiB for a full 13,041-pair grid,
+5 KiB for an x-only one), no p or p' arrays and no exponentials. Pairs
+whose rank-one guard fails take the Pade ``trace_kernels`` at N. A table
+does not depend on the runs before it, so neither does any kernel.
 """
 
 import functools
@@ -240,14 +252,14 @@ def _invariant_basis(start, generators):
 
 
 def _generator_terms(run):
-    """(base, lin_p, lin_pp, w, v) of the kernel
-    K(p, pp) = w . exp(base + p lin_p + pp lin_pp) . v."""
+    """(base, lin_p, lin_pp, w, v) of the N-free generator: the kernel of N
+    interactions is K_N(p, pp) = w . exp(N (base + p lin_p + pp lin_pp)) . v."""
     a = run.observable
     bundle = run.bundle
     return (
-        bundle.liouvillian * (run.n * run.t),
-        -1j * run.n * left_mult(a),
-        1j * run.n * right_mult(a),
+        bundle.liouvillian * run.t,
+        -1j * left_mult(a),
+        1j * right_mult(a),
         vectorize(np.eye(bundle.dim)),
         vectorize(bundle.rho_ss),
     )
@@ -276,22 +288,62 @@ def _minimal_realization(base, lin_p, lin_pp, w, v):
     return reduced, bool(drift <= REDUCTION_RTOL * np.linalg.norm(lin_p))
 
 
-def _grid_kernels(run, p1, p2, idx_k):
-    """Exact kernels at the half-plane pairs (p1, p2), p1 - p2 = idx_k dp.
-
-    The coupled generator is cut to its minimal realization first. When the
-    kernel depends on x = p - p' alone, one kernel per grid offset k is
-    computed at x = k dp and scattered with idx_k.
-    """
-    mats, x_only = _minimal_realization(*_generator_terms(run))
-    base, lin_p, lin_pp, w, v = mats
+def _grid_pairs(app, x_only):
+    """The (p, pp) pairs an exact grid computes: every half-plane pair, or
+    one pair (k dp, 0) per offset when the kernel depends on p - pp alone."""
+    p = app.p_grid()
     if x_only:
-        p = run.apparatus.p_grid()
         x = (p[1] - p[0]) * np.arange(p.size)
-        return kernels.trace_kernels(
-            base, lin_p, lin_pp, x, np.zeros_like(x), w, v
-        )[idx_k]
-    return kernels.trace_kernels(base, lin_p, lin_pp, p1, p2, w, v)
+        return x, np.zeros_like(x)
+    idx_i, idx_k = _half_plane(app)
+    return p[idx_i], p[idx_i - idx_k]
+
+
+# (model, theta, observable, T, apparatus) -> (realization, x_only, table),
+# least recently used first
+_MODE_MEMO = {}
+_MODE_MEMO_SIZE = 4
+
+
+def _kernel_modes(run):
+    """(minimal realization, x_only, mode table) of a run's grid, memoized.
+
+    Nothing here depends on N, so the runs of an N sweep share one entry.
+    The key holds the model itself, which compares by identity and stays
+    alive while its entry does, and the bytes of theta and the observable.
+    """
+    key = (run.model, run.theta.tobytes(), run.observable.tobytes(), run.t,
+           run.apparatus)
+    entry = _MODE_MEMO.pop(key, None)
+    if entry is None:
+        mats, x_only = _minimal_realization(*_generator_terms(run))
+        base, lin_p, lin_pp, w, v = mats
+        pairs = _grid_pairs(run.apparatus, x_only)
+        entry = mats, x_only, kernels.mode_table(base, lin_p, lin_pp, *pairs, w, v)
+        if len(_MODE_MEMO) >= _MODE_MEMO_SIZE:
+            del _MODE_MEMO[next(iter(_MODE_MEMO))]
+    _MODE_MEMO[key] = entry
+    return entry
+
+
+def _grid_kernels(run, idx_k):
+    """Exact kernels K_N at the run's half-plane pairs, of offsets idx_k.
+
+    Pairs with a dominant mode take c exp(N lam) from the memoized table; the
+    pairs its guard refuses go through the Pade ``trace_kernels`` at N. An
+    x-only grid computes one kernel per offset and scatters it with idx_k.
+    """
+    (base, lin_p, lin_pp, w, v), x_only, (lam, c) = _kernel_modes(run)
+    n = run.n
+    kv = np.exp(n * lam)
+    kv *= c
+    refused = np.flatnonzero(np.isnan(lam))
+    if refused.size:
+        p1, p2 = (x[refused] for x in _grid_pairs(run.apparatus, x_only))
+        kv[refused] = kernels.trace_kernels(
+            n * base, n * lin_p, n * lin_pp, p1, p2, w, v
+        )
+    return kv[idx_k] if x_only else kv
 
 
 def _half_plane_kernels(run, kernel_source):
@@ -307,7 +359,7 @@ def _half_plane_kernels(run, kernel_source):
     p1 = p[idx_i]
     p2 = p[idx_i - idx_k]
     if kernel_source == "exact":
-        kv = _grid_kernels(run, p1, p2, idx_k)
+        kv = _grid_kernels(run, idx_k)
     elif kernel_source == "perturbative":
         kv = perturbative_kernel(run, p1, p2)
     else:

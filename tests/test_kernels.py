@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import damlab
-from damlab import _kernels_py, backend
+from damlab import _kernels_py, backend, pointer
 from damlab.models import EXCITED_PROJECTOR, gad_model
 from damlab.pointer import (
     ApparatusConfig,
@@ -199,19 +199,86 @@ def test_trace_kernels_working_set_stays_small():
     assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
+def test_mode_table_matches_pade_and_ignores_batching(monkeypatch):
+    # the driven/tilted grid at T = 500: every pair has a dominant mode, and
+    # c exp(N lam) stays within the rounding both share, eps N ||G||_1
+    args = _driven_half_plane()
+    base, lin_p, lin_pp, p, pp, w, v = args
+    table = _kernels_py.mode_table(*args)
+    assert table.shape == (2, p.size) and not np.isnan(table).any()
+    lam, c = table
+    g = base + p[:, None, None] * lin_p + pp[:, None, None] * lin_pp
+    g_norm = np.abs(g).sum(axis=1).max()
+    eps = np.finfo(float).eps
+    for n in (1.0, 5.0, 10.0):
+        pade = _kernels_py.trace_kernels(n * base, n * lin_p, n * lin_pp, p, pp, w, v)
+        assert np.abs(c * np.exp(n * lam) - pade).max() <= 4 * eps * n * g_norm
+    # a pair's mode does not depend on the batch it is computed in
+    monkeypatch.setattr(_kernels_py, "_BATCH_ELEMENTS", 16 * 97)
+    assert np.array_equal(_kernels_py.mode_table(*args), table)
+
+
+@pytest.mark.parametrize(
+    "modes, served",
+    [
+        # decay 60: rank one to 1e-13 at t = 1/2, so E^2 serves every N >= 1
+        ((0.0, -60.0), True),
+        # decay 23.5: the guard fails at t = 1/2 (7.9e-6) and would hold at
+        # t = 1 (6.2e-11), where E^2 serves only N >= 2; N = 1 would keep a
+        # neglected mode of 6e-11, so the pair goes to Pade
+        ((0.0, -23.5), False),
+        # exp(G / 2) = diag(1, r, -r / (1 + r)) with r = 1e-5 has
+        # tr(E^2) = tr(E)^2: the trace pretest passes, the full guard does not
+        ((0.0, 2 * np.log(1e-5), 2 * (np.log(1e-5 / (1 + 1e-5)) + 1j * np.pi)), False),
+        # a rotation never becomes rank one
+        ((0.0, 20j), False),
+    ],
+)
+def test_mode_table_guard_on_diagonal_generators(modes, served):
+    # one pair with G = diag(modes) and w = v = (1, ..., 1):
+    # K_N = sum_k exp(N g_k)
+    g = np.asarray(modes, dtype=complex)
+    zero = np.zeros((g.size, g.size), dtype=complex)
+    ones = np.ones(g.size, dtype=complex)
+    lam, c = _kernels_py.mode_table(np.diag(g), zero, zero, [0.0], [0.0], ones, ones)
+    assert bool(np.isnan(lam[0])) != served
+    if served:
+        for n in (1.0, 2.0, 5.0):
+            assert abs(c[0] * np.exp(n * lam[0]) - np.exp(n * g).sum()) <= 1e-14
+
+
 def test_pointer_grids_call_the_backend_kernels_attribute(monkeypatch):
-    # profilers wrap backend.kernels.trace_kernels; every exact grid must
-    # reach the numpy kernels through that attribute
+    # profilers wrap the functions of backend.kernels; every exact grid must
+    # reach the numpy kernels through that attribute: one mode table of its
+    # pairs, then Pade kernels for the pairs the table's guard refuses
     assert damlab.KERNEL_BACKEND == "python"
     assert backend.kernels is _kernels_py
     seen = []
-    original = _kernels_py.trace_kernels
 
-    def spy(base, lin_p, lin_pp, p, pp, w, v):
-        seen.append((np.array(base), np.array(p), np.array(pp)))
-        return original(base, lin_p, lin_pp, p, pp, w, v)
+    def spy(name):
+        original = getattr(_kernels_py, name)
 
-    monkeypatch.setattr(backend.kernels, "trace_kernels", spy)
+        def call(base, lin_p, lin_pp, p, pp, w, v):
+            seen.append((name, np.array(base), np.array(p), np.array(pp)))
+            return original(base, lin_p, lin_pp, p, pp, w, v)
+
+        return call
+
+    for name in ("mode_table", "trace_kernels"):
+        monkeypatch.setattr(backend.kernels, name, spy(name))
+    monkeypatch.setattr(pointer, "_MODE_MEMO", {})
+
+    def grid_calls():
+        (name, base, p, pp), rest = seen[0], seen[1:]
+        assert name == "mode_table"
+        pairs = set(zip(p.tolist(), pp.tolist()))
+        for name, pade_base, pade_p, pade_pp in rest:
+            # N = 1: the Pade generator is the table's
+            assert name == "trace_kernels" and np.array_equal(pade_base, base)
+            assert set(zip(pade_p.tolist(), pade_pp.tolist())) <= pairs
+        seen.clear()
+        return base, p, pp
+
     app = ApparatusConfig(
         sigma=0.1, p_halfwidth=30.0, p_points=31, q_halfwidth=0.8, q_points=256
     )
@@ -220,8 +287,7 @@ def test_pointer_grids_call_the_backend_kernels_attribute(monkeypatch):
     # population dynamics: a 2-dim realization, one kernel per offset x = k dp
     run = DamRun(gad_model(), [0.3], EXCITED_PROJECTOR, t=200.0, n=1.0, apparatus=app)
     pointer_distribution(run, "exact")
-    assert len(seen) == 1
-    base, p, pp = seen.pop()
+    base, p, pp = grid_calls()
     assert base.shape == (2, 2)
     assert np.array_equal(p, (grid[1] - grid[0]) * np.arange(31))
     assert np.all(pp == 0)
@@ -230,8 +296,7 @@ def test_pointer_grids_call_the_backend_kernels_attribute(monkeypatch):
     # pairs on the full 4x4 superoperator
     run = DamRun(driven_model(), [0.3], A_TILTED, t=200.0, n=1.0, apparatus=app)
     pointer_distribution(run, "exact")
-    assert len(seen) == 1
-    base, p, pp = seen.pop()
+    base, p, pp = grid_calls()
     assert base.shape == (4, 4)
     want = {(i, j) for i in range(31) for j in range(i + 1)}
     got = [
