@@ -16,8 +16,9 @@ N of the same sweep reads the table the first one left.
 The cases: `qubit` (thermal qubit, excited-state projector; its grid reduces
 to 2x2 kernels of x alone), `driven` (configs/driven_gad.json read through
 `tilted` at T = 500, swept over N = 5, 10; its 4x4 grid does not reduce, so
-every pair is exponentiated in the pairs-last layout) and `two-site` (two
-thermal qubits, dense 16x16 superoperators on the per-matrix layout). Run as
+every pair is exponentiated, with broadcast products) and `two-site` (two
+thermal qubits, dense 16x16 superoperators, with one BLAS product per
+matrix). Run as
 
     python3 benchmarks/bench_kernels.py [--pairs 13041] [--repeats 3]
 

@@ -2,37 +2,37 @@
 
 exp(A) uses scaling and squaring with the degree-13 Pade approximant
 (Higham, SIAM J. Matrix Anal. Appl. 26, 2005). The squaring count is chosen
-per matrix, not per batch, so a kernel never depends on which of
-``trace_kernels``' chunks its pair falls in, or on which other pairs share
-that chunk.
+per matrix, not per batch, and every sum over matrix entries runs in index
+order (``_ordered_sum``), so a kernel or mode never depends on which of the
+chunks its pair falls in, or on which other pairs share that chunk, down to
+a chunk of one pair.
 
-A batch of m x m matrices is stored in one of two layouts, chosen from m
-alone. Up to ``_PAIRS_LAST_MAX_DIM`` = 4 (every qubit superoperator) it is
-pairs-last, shape (m, m, n), and each product is m broadcast multiply-adds
-over the contiguous pair axis. Above, it is pairs-first, shape (n, m, m),
-and each product is numpy's stacked ``@``, one BLAS call per matrix. A small
-product costs less than the call that would compute it, and a large one is
-faster in BLAS. Microseconds per exponential at 10 squarings, in batches of
-the budget below (numpy 2.4, OpenBLAS 0.3.31 on one thread, x86-64 with
-AVX-512):
+Every batch of n matrices of size m x m is indexed (m, m, n), pairs last.
+One function, ``_mul``, forms the products, and it picks how from m alone.
+Up to ``_BROADCAST_MAX_DIM`` = 4 (every qubit superoperator) a product is m
+broadcast multiply-adds over the contiguous pair axis; above, it is BLAS,
+through ``np.matmul`` on the (n, m, m) views. A small product costs less
+than the BLAS call that would compute it, and a large one is faster in BLAS;
+5x5 is near even, and no model damlab ships has one. Microseconds per
+matrix product, in batches of the budget below (numpy 2.4, OpenBLAS 0.3.31
+on one thread, x86-64 with AVX-512):
 
-    m            2     3     4     5     6     9     16
-    pairs-first  4.8   5.5   6.0   10.1  10.4  13.5  45.9
-    pairs-last   0.8   2.5   4.5   9.5   13.9  37.7  210
+    m                          2     3     4     5     6     9     16
+    broadcast                  0.02  0.09  0.20  0.40  0.71  2.4   16
+    BLAS, (n, m, m) in memory  0.34  0.40  0.44  0.57  0.55  0.67  2.1
+    BLAS, (m, m, n) in memory  0.32  0.49  0.54  0.64  0.64  0.81  2.8
 
-Both layouts share the Pade polynomial, the squaring-count rule, the
-non-finite check and the batch budget. The Pade solve is LAPACK in both.
+``np.matmul`` copies operands whose memory is (m, m, n) before its BLAS
+call, so BLAS products of BLAS products cost least. Its results equal
+stacked ``@`` on contiguous (n, m, m) stacks bit for bit. The Pade solve is
+LAPACK for every m, and the contraction with w and v is two sums over the
+matrix axes.
 
 ``trace_kernels`` streams a grid through a working set of ``_BATCH_ELEMENTS``
 complex numbers per batch array (64 KiB; 256 pairs of 4x4 matrices). The
 Pade step keeps about ten such arrays alive at once, so a chunk stays in L2
 cache, and a non-reducing 13,041-pair grid allocates about 1 MiB at a time
-instead of 32 MiB. In the pairs-first layout the budget also keeps the
-closing ``(chunk, m) @ w`` contraction, at most 2,048 elements for m > 4, a
-single-threaded BLAS gemv: with OpenBLAS on 2 cores, a 4,096-element gemv
-woke a second thread that then spun through the rest of the grid and
-doubled its CPU time. In the pairs-last layout the contraction is two sums
-over the matrix axes.
+instead of 32 MiB.
 
 ``mode_table`` serves every N >= 1 of a grid from one pass over its N-free
 generators G_j, for which the kernels are K_N = w . exp(N G_j) . v. For each
@@ -74,10 +74,10 @@ import numpy as np
 
 __all__ = ["expm_batch", "mode_table", "trace_kernels"]
 
-# complex numbers per batch array: Pade temporaries fit in L2, @ w stays on one thread
+# complex numbers per batch array: Pade temporaries of a batch fit in L2
 _BATCH_ELEMENTS = 4_096
-# largest m stored pairs-last: up to it, a BLAS call costs more than its product
-_PAIRS_LAST_MAX_DIM = 4
+# largest m multiplied by broadcasting: up to it, a BLAS call costs more than a product
+_BROADCAST_MAX_DIM = 4
 _THETA13 = 5.371920351148152
 # rank-one guard of ``mode_table``: neglected modes below MODE_TOL, read at MODE_TOL^2
 MODE_TOL = 1e-10
@@ -99,56 +99,48 @@ _B = (
 )
 
 
-def _mul_pairs_last(x, y):
-    """x @ y for stacks of (m, m) matrices stored pairs-last, shape (m, m, n)."""
+def _mul(x, y):
+    """x @ y for every pair of matrices of two (m, m, n) batches: m broadcast
+    multiply-adds up to _BROADCAST_MAX_DIM, one BLAS call per matrix above."""
+    m = x.shape[0]
+    if m > _BROADCAST_MAX_DIM:
+        return np.matmul(x.transpose(2, 0, 1), y.transpose(2, 0, 1)).transpose(1, 2, 0)
     out = x[:, 0, None] * y[None, 0]
-    for j in range(1, x.shape[0]):
+    for j in range(1, m):
         out += x[:, j, None] * y[None, j]
     return out
 
 
-def _pade13(a, pairs_last):
-    """exp of every matrix of a stored batch by the degree-13 Pade
-    approximant, accurate where 1-norms are at most _THETA13."""
-    mul = _mul_pairs_last if pairs_last else np.matmul
-    m = _as_first(a, pairs_last).shape[1]
-    eye = _as_stored(np.eye(m, dtype=complex)[None], pairs_last)
-    a2 = mul(a, a)
-    a4 = mul(a2, a2)
-    a6 = mul(a2, a4)
-    u = mul(
+def _pade13(a):
+    """exp of every matrix of a batch by the degree-13 Pade approximant,
+    accurate where 1-norms are at most _THETA13."""
+    eye = np.eye(a.shape[0], dtype=complex)[..., None]
+    a2 = _mul(a, a)
+    a4 = _mul(a2, a2)
+    a6 = _mul(a2, a4)
+    u = _mul(
         a,
-        mul(a6, _B[13] * a6 + _B[11] * a4 + _B[9] * a2)
+        _mul(a6, _B[13] * a6 + _B[11] * a4 + _B[9] * a2)
         + _B[7] * a6
         + _B[5] * a4
         + _B[3] * a2
         + _B[1] * eye,
     )
     v = (
-        mul(a6, _B[12] * a6 + _B[10] * a4 + _B[8] * a2)
+        _mul(a6, _B[12] * a6 + _B[10] * a4 + _B[8] * a2)
         + _B[6] * a6
         + _B[4] * a4
         + _B[2] * a2
         + _B[0] * eye
     )
-    q, p = (_as_first(x, pairs_last) for x in (v - u, v + u))
-    return np.ascontiguousarray(_as_stored(np.linalg.solve(q, p), pairs_last))
+    q, p = (x.transpose(2, 0, 1) for x in (v - u, v + u))
+    return np.ascontiguousarray(np.linalg.solve(q, p).transpose(1, 2, 0))
 
 
-def _as_first(x, pairs_last):
-    """The (n, m, m) view of a batch stored pairs-first or pairs-last."""
-    return x.transpose(2, 0, 1) if pairs_last else x
-
-
-def _as_stored(x, pairs_last):
-    """The inverse of ``_as_first``: an (n, m, m) view in the batch's layout."""
-    return x.transpose(1, 2, 0) if pairs_last else x
-
-
-def _squarings(a, pairs_last):
-    """Per matrix of a stored batch, the halvings that bring its 1-norm to
-    at most _THETA13; raises on non-finite entries."""
-    norms = np.abs(_as_first(a, pairs_last)).sum(axis=1).max(axis=1)
+def _squarings(a):
+    """Per matrix of a batch, the halvings that bring its 1-norm to at most
+    _THETA13; raises on non-finite entries."""
+    norms = np.abs(a).sum(axis=0).max(axis=0)
     if not np.all(np.isfinite(norms)):
         raise ValueError("non-finite entries in matrix batch")
     s = np.zeros(norms.size, dtype=np.int64)
@@ -157,18 +149,16 @@ def _squarings(a, pairs_last):
     return s
 
 
-def _expm(a, pairs_last):
-    """exp of every matrix in a batch stored (n, m, m), or (m, m, n) if pairs_last."""
-    s = _squarings(a, pairs_last)
-    mul = _mul_pairs_last if pairs_last else np.matmul
+def _expm(a):
+    """exp of every matrix in an (m, m, n) batch."""
+    s = _squarings(a)
     out = np.empty_like(a)
     for sv in sorted(set(s.tolist())):  # np.unique would import numpy.ma
         idx = np.flatnonzero(s == sv)
-        scaled = np.take(a, idx, axis=-1 if pairs_last else 0) * (2.0 ** -float(sv))
-        r = _pade13(scaled, pairs_last)
+        r = _pade13(np.take(a, idx, axis=-1) * (2.0 ** -float(sv)))
         for _ in range(int(sv)):
-            r = mul(r, r)
-        _as_first(out, pairs_last)[idx] = _as_first(r, pairs_last)
+            r = _mul(r, r)
+        out[..., idx] = r
     return out
 
 
@@ -177,37 +167,42 @@ def expm_batch(a):
     a = np.asarray(a, dtype=complex)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
-    pairs_last = a.shape[1] <= _PAIRS_LAST_MAX_DIM
-    return _as_first(_expm(_as_stored(a, pairs_last), pairs_last), pairs_last)
+    return _expm(a.transpose(1, 2, 0)).transpose(2, 0, 1)
 
 
 def _generator_chunks(base, lin_p, lin_pp, p, pp):
-    """Yield (lo, hi, g, pairs_last): g = base + p_j lin_p + pp_j lin_pp for
-    the pairs lo..hi-1 of a grid, one batch of ``_BATCH_ELEMENTS`` at a time."""
-    base = np.asarray(base, dtype=complex)
-    lin_p = np.asarray(lin_p, dtype=complex)
-    lin_pp = np.asarray(lin_pp, dtype=complex)
+    """Yield (lo, hi, g): g = base + p_j lin_p + pp_j lin_pp for the pairs
+    lo..hi-1 of a grid, one (m, m, hi - lo) batch of ``_BATCH_ELEMENTS``."""
+    base, lin_p, lin_pp = (
+        np.asarray(x, dtype=complex)[..., None] for x in (base, lin_p, lin_pp)
+    )
     p = np.asarray(p, dtype=float)
     pp = np.asarray(pp, dtype=float)
     if p.shape != pp.shape:
         raise ValueError("p and pp must have equal length")
-    m = base.shape[0]
-    pairs_last = m <= _PAIRS_LAST_MAX_DIM
-    base, lin_p, lin_pp = (
-        _as_stored(x[None], pairs_last) for x in (base, lin_p, lin_pp)
-    )
-    chunk = max(1, _BATCH_ELEMENTS // (m * m))
+    chunk = max(1, _BATCH_ELEMENTS // base.shape[0] ** 2)
     for lo in range(0, p.size, chunk):
         hi = min(p.size, lo + chunk)
-        cp, cpp = (_as_stored(x[lo:hi, None, None], pairs_last) for x in (p, pp))
-        yield lo, hi, base + cp * lin_p + cpp * lin_pp, pairs_last
+        yield lo, hi, base + p[lo:hi] * lin_p + pp[lo:hi] * lin_pp
 
 
-def _contract(e, w, v, pairs_last):
+def _ordered_sum(x):
+    """x.sum(axis=0) in index order. numpy adds the rows in order when the
+    pair axis, the last, runs over several pairs; for a single pair it sums
+    the contiguous column in another order, so a pair's kernel would depend
+    on the batch it falls in."""
+    if x.shape[-1] > 1:
+        return x.sum(axis=0)
+    out = x[0].copy()
+    for row in x[1:]:
+        out += row
+    return out
+
+
+def _contract(e, w, v):
     """w . E_j . v for every matrix of a batch."""
-    if pairs_last:
-        return (w[:, None] * (e * v[:, None]).sum(axis=1)).sum(axis=0)
-    return (e @ v) @ w
+    ev = _ordered_sum(np.swapaxes(e * v[:, None], 0, 1))
+    return _ordered_sum(w[:, None] * ev)
 
 
 def trace_kernels(base, lin_p, lin_pp, p, pp, w, v):
@@ -220,41 +215,33 @@ def trace_kernels(base, lin_p, lin_pp, p, pp, w, v):
     w = np.asarray(w, dtype=complex)
     v = np.asarray(v, dtype=complex)
     out = np.empty(np.size(p), dtype=complex)
-    for lo, hi, g, pairs_last in _generator_chunks(base, lin_p, lin_pp, p, pp):
-        out[lo:hi] = _contract(_expm(g, pairs_last), w, v, pairs_last)
+    for lo, hi, g in _generator_chunks(base, lin_p, lin_pp, p, pp):
+        out[lo:hi] = _contract(_expm(g), w, v)
     return out
 
 
-def _largest_part(x, pairs_last):
-    """Largest |Re| or |Im| of an entry of every matrix in a stored batch."""
-    y = np.abs(x.view(float))
-    if pairs_last:
-        y = y.reshape(-1, y.shape[-1]).max(axis=0)
-        return np.maximum(y[0::2], y[1::2])
-    return y.max(axis=(1, 2))
+def _largest_part(x):
+    """Largest |Re| or |Im| of an entry of every matrix in a batch."""
+    # a BLAS product (m > 4) is a strided view, which .view(float) refuses
+    y = np.abs(np.ascontiguousarray(x).view(float))
+    y = y.reshape(-1, y.shape[-1]).max(axis=0)
+    return np.maximum(y[0::2], y[1::2])
 
 
-def _modes(g, w, v, pairs_last):
-    """Rows (lam, c) of the dominant mode of every G in a stored batch, NaN
-    where the rank-one guard refuses the pair."""
-    n, m = _as_first(g, pairs_last).shape[:2]
+def _modes(g, w, v):
+    """Rows (lam, c) of the dominant mode of every G in a batch, NaN where
+    the rank-one guard refuses the pair."""
+    m, n = g.shape[1:]
     # E = exp(t G) from t = 2^log_t, the Pade scale of ``_expm`` but at most 1/2
-    log_t = -np.maximum(_squarings(g, pairs_last), 1)
-    mul = _mul_pairs_last if pairs_last else np.matmul
-    axis = -1 if pairs_last else 0
-    mats = (0, 1) if pairs_last else (1, 2)
-
-    def per_pair(x):
-        return _as_stored(x[:, None, None], pairs_last)
-
-    e = _pade13(g * per_pair(np.ldexp(1.0, log_t)), pairs_last)
+    log_t = -np.maximum(_squarings(g), 1)
+    e = _pade13(g * np.ldexp(1.0, log_t))
     table = np.full((2, n), np.nan, dtype=complex)
     live = np.arange(n)
     while live.size:
-        e *= per_pair(1.0 / _largest_part(e, pairs_last))
-        tr = np.trace(e, axis1=mats[0], axis2=mats[1])
-        e2 = mul(e, e)
-        tr2 = np.trace(e2, axis1=mats[0], axis2=mats[1])
+        e *= 1.0 / _largest_part(e)
+        tr = _ordered_sum(np.diagonal(e).T)
+        e2 = _mul(e, e)
+        tr2 = _ordered_sum(np.diagonal(e2).T)
         size = np.abs(tr)
         bound = MODE_TOL * size * size
         # |tr(E^2) - tr(E)^2| <= sqrt(2) m resid: this pretest only skips
@@ -263,14 +250,14 @@ def _modes(g, w, v, pairs_last):
         ok = live_ok & (np.abs(tr2 - tr * tr) < 2 * m * bound)
         if ok.any():
             sel = np.flatnonzero(ok)
-            tr_e = np.take(e, sel, axis=axis) * per_pair(tr[sel])
-            resid = _largest_part(np.take(e2, sel, axis=axis) - tr_e, pairs_last)
-            ok[sel] = resid < bound[sel]
+            tr_e = np.take(e, sel, axis=-1) * tr[sel]
+            ok[sel] = _largest_part(np.take(e2, sel, axis=-1) - tr_e) < bound[sel]
             sel = sel[ok[sel]]
-            e_ok = np.take(e2, sel, axis=axis)
-            g_ok = np.take(g, live[sel], axis=axis)
-            g_e = (g_ok * np.swapaxes(e_ok, *mats)).sum(axis=mats)
-            table[:, live[sel]] = (g_e, _contract(e_ok, w, v, pairs_last))
+            e_ok = np.take(e2, sel, axis=-1)
+            g_ok = np.take(g, live[sel], axis=-1)
+            g_e = (g_ok * np.swapaxes(e_ok, 0, 1)).reshape(m * m, -1)
+            g_e = _ordered_sum(g_e)
+            table[:, live[sel]] = (g_e, _contract(e_ok, w, v))
             table[:, live[sel]] /= tr2[sel]
         # E^2 serves N >= 2t, and every run has N >= 1: stop at t = 1/2
         keep = live_ok & ~ok & (log_t < -1)
@@ -279,7 +266,7 @@ def _modes(g, w, v, pairs_last):
             continue
         keep = np.flatnonzero(keep)
         live, log_t = live[keep], log_t[keep] + 1
-        e = np.take(e2, keep, axis=axis)
+        e = np.take(e2, keep, axis=-1)
     return table
 
 
@@ -293,6 +280,6 @@ def mode_table(base, lin_p, lin_pp, p, pp, w, v):
     w = np.asarray(w, dtype=complex)
     v = np.asarray(v, dtype=complex)
     table = np.empty((2, np.size(p)), dtype=complex)
-    for lo, hi, g, pairs_last in _generator_chunks(base, lin_p, lin_pp, p, pp):
-        table[:, lo:hi] = _modes(g, w, v, pairs_last)
+    for lo, hi, g in _generator_chunks(base, lin_p, lin_pp, p, pp):
+        table[:, lo:hi] = _modes(g, w, v)
     return table

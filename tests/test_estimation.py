@@ -65,10 +65,28 @@ def test_identity_link_roundtrip():
     link = identity_link()
     assert link.m == 1
     th = np.array([0.37])
-    assert np.array_equal(link.inverse(link.forward(th)), th)
+    assert np.array_equal(link.inverse(link.forward(th)[None]), th[None])
     assert np.array_equal(link.jacobian_inverse(np.array([0.4])), np.eye(1))
     rows = np.array([[0.1], [0.5], [0.9]])
-    assert np.array_equal(link.inverse_batch(rows), rows)
+    assert np.array_equal(link.inverse(rows), rows)
+    rows = np.array([[0.1, 0.2], [0.5, 0.6]])
+    assert np.array_equal(identity_link(((0, 1), (0, 1))).inverse(rows), rows)
+
+
+def test_link_has_one_inverse_and_accepts_the_retired_keyword():
+    # perfbench/tracer.py wraps a link by dataclasses.replace(link, inverse=...,
+    # inverse_batch=..., jacobian_inverse=...): inverse_batch is dropped
+    link = identity_link()
+
+    def double(rows):
+        return 2.0 * rows
+
+    wrapped = dataclasses.replace(link, inverse=double, inverse_batch=len)
+    assert [f.name for f in dataclasses.fields(wrapped)] == [
+        "m", "forward", "inverse", "jacobian_inverse", "image"
+    ]
+    # estimates read the one inverse
+    assert dam_estimate(0.2, 1, wrapped).theta == pytest.approx(0.4)
 
 
 def test_steady_expectation_link_on_gad_is_identity():
@@ -76,12 +94,12 @@ def test_steady_expectation_link_on_gad_is_identity():
     for th in (0.05, 0.3, 0.62, 0.95):
         f = link.forward(np.array([th]))
         assert abs(f[0] - th) <= 1e-9
-        assert abs(link.inverse(f)[0] - th) <= 1e-8
+        assert abs(link.inverse(f[None])[0, 0] - th) <= 1e-8
     assert abs(link.jacobian_inverse(np.array([0.3]))[0, 0] - 1.0) <= 1e-6
 
 
     with pytest.raises(ValueError, match="outside the link image"):
-        link.inverse(np.array([1.5]))
+        link.inverse(np.array([[1.5]]))
 
 
 @st.composite
@@ -142,7 +160,7 @@ def test_steady_link_matches_bundle_oracle(model_and_a, theta):
     slope = (oracle(theta + h) - oracle(theta - h)) / (2.0 * h)
     jinv = link.jacobian_inverse(f)[0, 0]
     assert abs(jinv * slope - 1.0) <= 1e-6
-    assert abs(link.inverse(f)[0] - theta) <= 1e-10
+    assert abs(link.inverse(f[None])[0, 0] - theta) <= 1e-10
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -227,10 +245,12 @@ def test_steady_link_raises_when_newton_does_not_converge(monkeypatch):
     thetas = np.array([0.3123, 0.71])
     readings = link.forward(thetas)
     assert np.abs(readings - thetas / (thetas + 0.5)).max() <= 1e-15
-    assert np.abs(link.inverse(readings) - thetas).max() <= 1e-12
+    rows = readings[:, None]
+    got = link.inverse(rows)
+    assert got.shape == (2, 1) and np.abs(got[:, 0] - thetas).max() <= 1e-12
     monkeypatch.setattr(estimation, "NEWTON_MAX_STEPS", 0)
     with pytest.raises(RuntimeError, match="did not converge for 2 of 2"):
-        link.inverse(readings)
+        link.inverse(rows)
 
 
 def test_estimate_applies_inverse_and_clamps():
@@ -313,10 +333,9 @@ def test_singular_jacobian_is_rejected():
     bad = LinkFunction(
         m=1,
         forward=lambda th: th,
-        inverse=lambda a: a,
+        inverse=lambda rows: rows,
         jacobian_inverse=lambda a: np.array([[np.inf]]),
         image=((0.0, 1.0),),
-        inverse_batch=lambda rows: rows,
     )
     with pytest.raises(ValueError):
         multiparam_error_formula([run], bad)

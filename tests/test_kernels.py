@@ -61,11 +61,30 @@ def test_expm_batch_rejects_bad_shapes():
         _kernels_py.expm_batch(bad)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 9, 16])
+def test_product_matches_stacked_matmul(m):
+    # the one product of the kernel layer, on (m, m, n) batches whose memory
+    # is (m, m, n) or (n, m, m): BLAS above _BROADCAST_MAX_DIM is stacked @
+    # bit for bit; broadcast multiply-adds below agree with it to round-off
+    rng = np.random.default_rng(m)
+    a, b = random_batch(rng, 70, m), random_batch(rng, 70, m)
+    want = a @ b
+    stored = np.ascontiguousarray(a.transpose(1, 2, 0))
+    got = _kernels_py._mul(stored, b.transpose(1, 2, 0))
+    assert got.shape == (m, m, 70)
+    got = got.transpose(2, 0, 1)
+    if m > _kernels_py._BROADCAST_MAX_DIM:
+        assert np.array_equal(got, want)
+    else:
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got - want) <= 4 * m * eps * (np.abs(a) @ np.abs(b)))
+
+
 def test_expm_batch_split_invariance_is_bitwise():
-    # trace_kernels chunks its batch; chunking must not change a bit, in the
-    # pairs-last layout of m <= 4 and in the per-matrix one
+    # trace_kernels chunks its batch; chunking must not change a bit, with
+    # broadcast products (m <= 4) and with BLAS ones
     rng = np.random.default_rng(77)
-    for m, scale in ((4, 12.0), (2, 12.0), (6, 9.0)):
+    for m, scale in ((4, 12.0), (2, 12.0), (6, 9.0), (16, 2.0)):
         a = random_batch(rng, 40, m, scale)
         # the batch mixes squaring counts; alone, each matrix gets its own
         norms = np.abs(a).sum(axis=1).max(axis=1)
@@ -109,9 +128,10 @@ def test_trace_kernels_matches_direct_loop():
 @st.composite
 def long_dissipative_grids(draw):
     """trace_kernels arguments of dimension 1-6, on both sides of the
-    pairs-last size rule, whose generators i H - D (H Hermitian, D >= 0)
-    have 1-norms that take 8 to 11 squarings, as the driven N = 5 and
-    N = 10 grids do. exp(i H - D) is a contraction, so |K| <= |w| |v| = 1."""
+    product rule (broadcast up to m = 4, BLAS above), whose generators
+    i H - D (H Hermitian, D >= 0) have 1-norms that take 8 to 11 squarings,
+    as the driven N = 5 and N = 10 grids do. exp(i H - D) is a contraction,
+    so |K| <= |w| |v| = 1."""
     m = draw(st.sampled_from(range(1, 7)))
     squarings = draw(st.integers(8, 11))
     rank = draw(st.integers(0, m))
@@ -135,7 +155,7 @@ def long_dissipative_grids(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(long_dissipative_grids())
-def test_trace_kernels_match_scipy_across_the_layout_rule(args):
+def test_trace_kernels_match_scipy_across_the_product_rule(args):
     base, lin_p, lin_pp, p, pp = args[:5]
     g = base + p[:, None, None] * lin_p + pp[:, None, None] * lin_pp
     assert np.all(np.abs(g).sum(axis=1).max(axis=1) > _kernels_py._THETA13 * 2**7)
@@ -143,9 +163,12 @@ def test_trace_kernels_match_scipy_across_the_layout_rule(args):
     assert np.abs(got - trace_kernel_reference(*args)).max() <= 1e-11
 
 
-def test_trace_kernels_split_invariance_is_bitwise():
+@pytest.mark.parametrize("m, n", [(4, 600), (6, 300), (16, 60)], ids=["4", "6", "16"])
+def test_trace_kernels_split_invariance_is_bitwise(m, n):
+    # both parts and the whole span several chunks of the batch budget
+    assert n - 17 > 2 * (_kernels_py._BATCH_ELEMENTS // (m * m))
     rng = np.random.default_rng(31)
-    base, lin_p, lin_pp, p, pp, w, v = _kernel_inputs(rng, n=60)
+    base, lin_p, lin_pp, p, pp, w, v = _kernel_inputs(rng, m, n)
     whole = _kernels_py.trace_kernels(base, lin_p, lin_pp, p, pp, w, v)
     parts = np.concatenate(
         [
@@ -154,6 +177,9 @@ def test_trace_kernels_split_invariance_is_bitwise():
         ]
     )
     assert np.array_equal(whole, parts)
+    # a batch of one pair: numpy's own sums would round it differently
+    single = _kernels_py.trace_kernels(base, lin_p, lin_pp, p[5:6], pp[5:6], w, v)
+    assert np.array_equal(whole[5:6], single)
 
 
 def test_trace_kernels_length_mismatch():
@@ -213,7 +239,12 @@ def test_mode_table_matches_pade_and_ignores_batching(monkeypatch):
     for n in (1.0, 5.0, 10.0):
         pade = _kernels_py.trace_kernels(n * base, n * lin_p, n * lin_pp, p, pp, w, v)
         assert np.abs(c * np.exp(n * lam) - pade).max() <= 4 * eps * n * g_norm
-    # a pair's mode does not depend on the batch it is computed in
+    # a pair's mode does not depend on the batch it is computed in, even
+    # when it is computed alone
+    for j in range(0, p.size, 1_999):
+        one = slice(j, j + 1)
+        alone = _kernels_py.mode_table(base, lin_p, lin_pp, p[one], pp[one], w, v)
+        assert np.array_equal(alone[:, 0], table[:, j])
     monkeypatch.setattr(_kernels_py, "_BATCH_ELEMENTS", 16 * 97)
     assert np.array_equal(_kernels_py.mode_table(*args), table)
 
