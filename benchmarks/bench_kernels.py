@@ -8,10 +8,13 @@ contracted with vec(I) and vec(rho_ss). The grid rows time one full
 generator to its minimal realization and reads every kernel from the
 dominant-mode table of the run, built once per (model, theta, observable,
 T, apparatus); they print the reduced dimension, whether the grid needed
-one kernel per offset x = p - p' only, and how many pairs the table's guard
-refused to the Pade kernels. Each grid row clears the table memo before
-every repeat of the case's first N, so it times the table build; a second
-N of the same sweep reads the table the first one left.
+one kernel per offset x = p - p' only, and how many pairs the table
+refused to the Pade kernels (its rank-one guard or its gap test). Each grid
+row clears the table memo before every repeat of the case's first N, so it
+times the table build; a second N of the same sweep reads the table the
+first one left. The driven table rows build the table of the driven grid at
+T = 100, 200 and 500, where the spectral gap of its generators grows with T
+and the table refuses fewer pairs.
 
 The cases: `qubit` (thermal qubit, excited-state projector; its grid reduces
 to 2x2 kernels of x alone), `driven` (configs/driven_gad.json read through
@@ -59,6 +62,8 @@ CASES = (
      200.0, (1.0,), 4),
 )
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# T of the driven table rows
+DRIVEN_TABLE_T = (100.0, 200.0, 500.0)
 
 
 def dense_workload(run, pairs):
@@ -110,7 +115,7 @@ def main():
         exps = lam.size
         print(f"{label} grid, {idx_i.size} pairs in {exps} exponentials: "
               f"reduced dimension {m} -> {mats[0].shape[0]}, x-only {x_only}; "
-              f"guard refused {int(np.isnan(lam).sum())}")
+              f"refused {int(np.isnan(lam).sum())}")
         for k, n in enumerate(sweep):
             run_n = DamRun(model, theta, a, t=t, n=n, apparatus=app)
             run_n.bundle  # the steady state is not part of the grid's time
@@ -122,6 +127,16 @@ def main():
             step = "table built" if k == 0 else "table reused"
             print(f"  {elapsed * 1e3:9.1f} ms  ({elapsed / idx_i.size * 1e6:7.2f} "
                   f"us/pair)  N = {n:g}, {step}")
+
+    for t in DRIVEN_TABLE_T:
+        run = DamRun(DRIVEN, [0.3], OBSERVABLES["tilted"], t=t, n=1.0, apparatus=app)
+        run.bundle
+        elapsed = best_time(lambda: _kernel_modes(run), args.repeats,
+                            pointer._MODE_MEMO.clear)
+        lam = _kernel_modes(run)[2][0]
+        print(f"driven table at T = {t:g}: {lam.size} pairs, refused "
+              f"{int(np.isnan(lam).sum())}")
+        print(f"  {elapsed * 1e3:9.1f} ms  ({elapsed / lam.size * 1e6:7.2f} us/pair)")
 
 
 if __name__ == "__main__":

@@ -32,8 +32,9 @@ kept in a memo of the ``_MODE_MEMO_SIZE`` = 4 most recently used keys, so
 the runs of an N sweep share them. An entry holds the reduced matrices and
 two complex numbers per computed pair (408 KiB for a full 13,041-pair grid,
 5 KiB for an x-only one), no p or p' arrays and no exponentials. Pairs
-whose rank-one guard fails take the Pade ``trace_kernels`` at N. A table
-does not depend on the runs before it, so neither does any kernel.
+the table refuses (its rank-one guard or its gap test) take the Pade
+``trace_kernels`` at N. A table does not depend on the runs before it, so
+neither does any kernel.
 """
 
 import functools
@@ -330,7 +331,7 @@ def _grid_kernels(run, idx_k):
     """Exact kernels K_N at the run's half-plane pairs, of offsets idx_k.
 
     Pairs with a dominant mode take c exp(N lam) from the memoized table; the
-    pairs its guard refuses go through the Pade ``trace_kernels`` at N. An
+    pairs it refuses go through the Pade ``trace_kernels`` at N. An
     x-only grid computes one kernel per offset and scatters it with idx_k.
     """
     (base, lin_p, lin_pp, w, v), x_only, (lam, c) = _kernel_modes(run)

@@ -22,8 +22,9 @@ from damlab.pointer import (
     default_apparatus,
     pointer_distribution,
 )
+from damlab.scenario import load_model_file
 
-from test_pointer import A_TILTED, driven_model
+from test_pointer import A_TILTED, CONFIGS, driven_model
 
 
 def random_batch(rng, n, m, scale=1.0):
@@ -252,16 +253,17 @@ def test_mode_table_matches_pade_and_ignores_batching(monkeypatch):
 @pytest.mark.parametrize(
     "modes, served",
     [
-        # decay 60: rank one to 1e-13 at t = 1/2, so E^2 serves every N >= 1
+        # decay 60: past the gap of 2 ln(1 / MODE_TOL) = 46.05, so the
+        # neglected mode is below exp(-60) at N = 1
         ((0.0, -60.0), True),
-        # decay 23.5: the guard fails at t = 1/2 (7.9e-6) and would hold at
-        # t = 1 (6.2e-11), where E^2 serves only N >= 2; N = 1 would keep a
-        # neglected mode of 6e-11, so the pair goes to Pade
+        # decay 23.5: N = 1 would keep a neglected mode of 6e-11, so the gap
+        # test sends the pair to Pade although the resolvent converges
         ((0.0, -23.5), False),
-        # exp(G / 2) = diag(1, r, -r / (1 + r)) with r = 1e-5 has
-        # tr(E^2) = tr(E)^2: the trace pretest passes, the full guard does not
+        # two modes of decay 23.0, whose exponentials at t = 1/2 cancel in
+        # tr(E^2) - tr(E)^2: the gap test refuses them as well
         ((0.0, 2 * np.log(1e-5), 2 * (np.log(1e-5 / (1 + 1e-5)) + 1j * np.pi)), False),
-        # a rotation never becomes rank one
+        # a rotation: the squared resolvent is rank one to 1e-16 and passes
+        # the guard, but the other mode never decays
         ((0.0, 20j), False),
     ],
 )
@@ -276,6 +278,82 @@ def test_mode_table_guard_on_diagonal_generators(modes, served):
     if served:
         for n in (1.0, 2.0, 5.0):
             assert abs(c[0] * np.exp(n * lam[0]) - np.exp(n * g).sum()) <= 1e-14
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "base",
+    [
+        # a Jordan block at the leading eigenvalue
+        [[-1.0, 1.0], [0.0, -1.0]],
+        # a simple leading eigenvalue and a Jordan block far below it, which
+        # the gap test alone would pass: eig's eigenvectors have 1-norm
+        # condition number 9e13
+        [[0.0, 0.0, 0.0], [0.0, -100.0, 1.0], [0.0, 0.0, -100.0]],
+    ],
+)
+def test_mode_table_refuses_a_defective_base(base):
+    # no eigenbasis to shift and deflate in: every pair goes to Pade,
+    # without a LinAlgError or a warning
+    base = np.asarray(base, dtype=complex)
+    m = base.shape[0]
+    lin_p = np.diag(np.arange(m) - 1j)
+    lin_pp = -lin_p.conj()
+    p = np.linspace(-3.0, 3.0, 7)
+    ones = np.ones(m, dtype=complex)
+    table = _kernels_py.mode_table(base, lin_p, lin_pp, p, p[::-1], ones, ones)
+    assert table.shape == (2, 7) and np.isnan(table).all()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "base, lin",
+    [
+        # K_N = exp(N (-0.5 - i (p - pp))): at p = pp the shift is exact
+        (-0.5, -1j),
+        # G = 0 at every pair, as for a realization that keeps only the trace
+        (0.0, 0.0),
+    ],
+)
+def test_mode_table_on_a_one_dimensional_realization(base, lin):
+    # m = 1: the deflated block is empty, so every pair is served
+    mats = [np.array([[x]], dtype=complex) for x in (base, lin, -lin)]
+    p = np.repeat(np.linspace(-2.0, 2.0, 5), 5)
+    pp = np.tile(np.linspace(-2.0, 2.0, 5), 5)
+    w, v = np.array([0.5 + 0.5j]), np.array([2.0 + 0j])
+    lam, c = _kernels_py.mode_table(*mats, p, pp, w, v)
+    g = base + lin * (p - pp)
+    eps = np.finfo(float).eps
+    for n in (1.0, 2.0, 5.0):
+        want = w[0] * v[0] * np.exp(n * g)
+        bound = 4 * eps * n * max(1.0, np.abs(g).max())
+        assert np.abs(c * np.exp(n * lam) - want).max() <= bound
+
+
+@pytest.mark.parametrize("t", [200.0, 500.0])
+def test_mode_table_serves_the_driven_file_grid(monkeypatch, t):
+    # configs/driven_gad.json read through `tilted`: at T = 200 the shift is
+    # worst (|lam - sigma| / |mu - sigma| up to 1.7e-2) and the gap test
+    # tightest, yet every pair is served, by inverse iteration alone
+    model, observables = load_model_file(CONFIGS / "driven_gad.json")
+    app = default_apparatus(0.1)
+    run = DamRun(model, [0.3], observables["tilted"], t=t, n=1.0, apparatus=app)
+    (base, lin_p, lin_pp, w, v), x_only = _minimal_realization(*_generator_terms(run))
+    assert base.shape == (4, 4) and not x_only
+    p = app.p_grid()
+    idx_i, idx_k = _half_plane(app)
+    p, pp = p[idx_i], p[idx_i - idx_k]
+    with monkeypatch.context() as patch:
+        for name in ("_pade13", "_expm", "_squarings"):
+            patch.setattr(_kernels_py, name, None)
+        lam, c = _kernels_py.mode_table(base, lin_p, lin_pp, p, pp, w, v)
+    assert lam.size == 13_041 and not np.isnan(lam).any()
+    g = base + p[:, None, None] * lin_p + pp[:, None, None] * lin_pp
+    g_norm = np.abs(g).sum(axis=1).max()
+    eps = np.finfo(float).eps
+    for n in (1.0, 2.0, 5.0):
+        pade = _kernels_py.trace_kernels(n * base, n * lin_p, n * lin_pp, p, pp, w, v)
+        assert np.abs(c * np.exp(n * lam) - pade).max() <= 4 * eps * n * g_norm
 
 
 def test_pointer_grids_call_the_backend_kernels_attribute(monkeypatch):
@@ -352,3 +430,8 @@ def test_kernel_benchmark_script_runs():
     assert out.returncode == 0, out.stderr
     assert "reduced dimension 4 -> 2, x-only True" in out.stdout
     assert "13041 exponentials: reduced dimension 4 -> 4, x-only False" in out.stdout
+    # the driven table rows: the gap test refuses most pairs at T = 100 and
+    # none from T = 200 on
+    assert "driven table at T = 100: 13041 pairs, refused " in out.stdout
+    assert "driven table at T = 200: 13041 pairs, refused 0\n" in out.stdout
+    assert "driven table at T = 500: 13041 pairs, refused 0\n" in out.stdout
