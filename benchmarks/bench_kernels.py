@@ -4,17 +4,18 @@ The dense rows mirror the unreduced Pade path of the pointer-distribution
 computation: a half-plane of (p, p') pairs turned into batched matrix
 exponentials of the full coupled generator at the case's first N,
 contracted with vec(I) and vec(rho_ss). The grid rows time one full
-161-point half-plane through pointer._grid_kernels, which cuts the N-free
-generator to its minimal realization and reads every kernel from the
-dominant-mode table of the run, built once per (model, theta, observable,
-T, apparatus); they print the reduced dimension, whether the grid needed
-one kernel per offset x = p - p' only, and how many pairs the table
-refused to the Pade kernels (its rank-one guard or its gap test). Each grid
-row clears the table memo before every repeat of the case's first N, so it
-times the table build; a second N of the same sweep reads the table the
-first one left. The driven table rows build the table of the driven grid at
-T = 100, 200 and 500, where the spectral gap of its generators grows with T
-and the table refuses fewer pairs.
+161-point half-plane through pointer._grid_kernels, which reads every
+kernel from the dominant-mode table of the run, built once per (model,
+theta, observable, T, apparatus) on the minimal realization of the N-free
+generator that pointer._kernel_modes cuts; they print the reduced
+dimension, whether the grid needed one kernel per offset x = p - p' only,
+and how many pairs the table refused to the Pade kernels (its rank-one
+guard or its gap test). Each grid row clears the table memo before every
+repeat of the case's first N, so it times the table build; a second N of
+the same sweep reads the table the first one left. The driven table rows
+build the table of the driven grid at T = 100, 200 and 500, where the
+spectral gap of its generators grows with T and the table refuses fewer
+pairs.
 
 The cases: `qubit` (thermal qubit, excited-state projector; its grid reduces
 to 2x2 kernels of x alone), `driven` (configs/driven_gad.json read through

@@ -69,10 +69,9 @@ that belongs to lam, P its spectral projector and R = E (I - P). Then
 E^2 - tr(E) E = R^2 - (a + tr R) R - a tr(R) P, which to first order in R
 is -a (R + tr(R) P). The guard thus puts R below about MODE_TOL |a|, times
 the conditioning of P, and E^2 = a^2 P + R^2 is a^2 P to about MODE_TOL^2.
-A trace pretest, |tr(E^2) - tr(E)^2| < 2 m MODE_TOL |tr E|^2, skips the
-full guard for pairs that must fail it, since |tr X| <= sqrt(2) m ||X||.
-A pair still refused after the last round, or whose trace falls below
-MODE_TOL of its largest entry, holds NaN.
+Every round runs over the whole batch: a pair leaves the iteration once
+the guard accepts it or once its trace falls below MODE_TOL of its largest
+entry, and one still refused after the last round holds NaN.
 
 The resolvent picks the eigenvalue nearest s, which need not have the
 largest real part, and its convergence says nothing about how fast the
@@ -351,49 +350,31 @@ def _modes(g, p, pp, basis, w, v):
     h[np.arange(m), np.arange(m)] -= shift
     e = np.ascontiguousarray(np.linalg.inv(h.transpose(2, 0, 1)).transpose(1, 2, 0))
     # E^2 and tr(E^2) of the pairs the guard accepts, at the round it does
-    e_read = np.empty_like(e)
-    tr_read = np.empty(n, dtype=complex)
+    e_read = np.zeros_like(e)
+    tr_read = np.zeros(n, dtype=complex)
     accepted = np.zeros(n, dtype=bool)
-    live = np.arange(n)
-    for rounds in range(_MODE_ROUNDS, 0, -1):
+    live = np.ones(n, dtype=bool)
+    for _ in range(_MODE_ROUNDS):
         e *= 1.0 / _largest_part(e)
         tr = _ordered_sum(np.diagonal(e).T)
         e2 = _mul(e, e)
-        tr2 = _ordered_sum(np.diagonal(e2).T)
         size = np.abs(tr)
-        bound = MODE_TOL * size * size
-        # |tr(E^2) - tr(E)^2| <= sqrt(2) m resid: this pretest only skips
-        # pairs the guard would refuse
-        live_ok = size >= MODE_TOL
-        ok = live_ok & (np.abs(tr2 - tr * tr) < 2 * m * bound)
-        if ok.any():
-            sel = np.flatnonzero(ok)
-            tr_e = np.take(e, sel, axis=-1) * tr[sel]
-            e2_sel = np.take(e2, sel, axis=-1)
-            ok[sel] = _largest_part(e2_sel - tr_e) < bound[sel]
-            got = ok[sel]
-            sel = sel[got]
-            e_read[..., live[sel]] = e2_sel[..., got]
-            tr_read[live[sel]] = tr2[sel]
-            accepted[live[sel]] = True
-        keep = np.flatnonzero(live_ok & ~ok)
-        if rounds == 1 or not keep.size:
+        live &= size >= MODE_TOL
+        ok = live & (_largest_part(e2 - e * tr) < MODE_TOL * size * size)
+        e_read[..., ok] = e2[..., ok]
+        tr_read[ok] = _ordered_sum(np.diagonal(e2).T)[ok]
+        accepted |= ok
+        live &= ~ok
+        if not live.any():
             break
-        live = live[keep]
-        e = np.take(e2, keep, axis=-1)
-    table = np.full((2, n), np.nan, dtype=complex)
-    sel = np.flatnonzero(accepted)
-    if sel.size:
-        if sel.size < n:
-            e_read, tr_read, g, p, pp = (
-                np.take(x, sel, axis=-1) for x in (e_read, tr_read, g, p, pp)
-            )
+        e = e2
+    # pairs never accepted read 0 / 0 here and are refused below
+    with np.errstate(divide="ignore", invalid="ignore"):
         g_e = _ordered_sum((g * np.swapaxes(e_read, 0, 1)).reshape(m * m, -1))
         lam = g_e / tr_read
-        gap = _gap_ok(e_read, lam, p, pp, basis)
-        table[0, sel[gap]] = lam[gap]
-        table[1, sel[gap]] = _contract(e_read, w, v)[gap] / tr_read[gap]
-    return table
+        c = _contract(e_read, w, v) / tr_read
+    served = accepted & _gap_ok(e_read, lam, p, pp, basis)
+    return np.where(served, np.stack([lam, c]), np.nan)
 
 
 def mode_table(base, lin_p, lin_pp, p, pp, w, v):

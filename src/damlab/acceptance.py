@@ -86,19 +86,6 @@ REDUCTION_TOL = 0.0
 
 STEADY_THETAS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
-CHECK_NAMES = {
-    1: "conventional-baseline",
-    2: "steady-state-gap",
-    3: "pseudoinverse-closed-form",
-    4: "pointer-moments",
-    5: "nonadiabaticity-scaling",
-    6: "heisenberg-scaling",
-    7: "perturbative-kernel",
-    8: "qfi-suite",
-    9: "multiparameter",
-    10: "determinism-reduction",
-}
-
 
 @dataclass(frozen=True)
 class Metric:
@@ -351,32 +338,34 @@ def _check_determinism_reduction(p):
     ]
 
 
-_CHECK_FUNCS = {
-    1: _check_conventional_baseline,
-    2: _check_steady_state_gap,
-    3: _check_pseudoinverse_closed_form,
-    4: _check_pointer_moments,
-    5: _check_nonadiabaticity_scaling,
-    6: _check_heisenberg_scaling,
-    7: _check_perturbative_kernel,
-    8: _check_qfi_suite,
-    9: _check_multiparameter,
-    10: _check_determinism_reduction,
+# number -> (name, function) of every check
+_CHECKS = {
+    1: ("conventional-baseline", _check_conventional_baseline),
+    2: ("steady-state-gap", _check_steady_state_gap),
+    3: ("pseudoinverse-closed-form", _check_pseudoinverse_closed_form),
+    4: ("pointer-moments", _check_pointer_moments),
+    5: ("nonadiabaticity-scaling", _check_nonadiabaticity_scaling),
+    6: ("heisenberg-scaling", _check_heisenberg_scaling),
+    7: ("perturbative-kernel", _check_perturbative_kernel),
+    8: ("qfi-suite", _check_qfi_suite),
+    9: ("multiparameter", _check_multiparameter),
+    10: ("determinism-reduction", _check_determinism_reduction),
 }
+CHECK_NAMES = {num: name for num, (name, _) in _CHECKS.items()}
 
 _RUNTIME_LIMITS = {1: POVM_RUNTIME_S, 4: POINTER_RUNTIME_S}
 
 
 def run_checks(params, checks=None):
     """Run the selected checks (all by default) and collect their reports."""
-    selected = sorted(checks) if checks else sorted(_CHECK_FUNCS)
+    selected = sorted(checks) if checks else sorted(_CHECKS)
     results = []
     for num in selected:
-        if num not in _CHECK_FUNCS:
+        if num not in _CHECKS:
             raise ValueError(f"unknown check number {num}")
         start = time.perf_counter()
         try:
-            metrics = _CHECK_FUNCS[num](params)
+            metrics = _CHECKS[num][1](params)
             error = ""
         except Exception as exc:  # honest failure, not a crash of the suite
             metrics = []

@@ -1,8 +1,9 @@
 """The kernel module behind every exact pointer grid.
 
-``kernels`` is the numpy Pade-13 batch in ``_kernels_py``. Callers reach
-``mode_table`` and ``trace_kernels`` through this module attribute, so a
-profiler can wrap them in one place.
+``kernels`` is the numpy module ``_kernels_py``: dominant-mode tables by
+inverse iteration (``mode_table``) and Pade-13 kernels (``trace_kernels``).
+Callers reach both through this module attribute, so a profiler can wrap
+them in one place.
 """
 
 from . import _kernels_py as kernels

@@ -615,24 +615,16 @@ def qfi_output_bound_check(theta, t, probes, copies=1):
     theta = float(theta)
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-    if copies == 1:
-        model = gad_model()
-
-        def liouville(th):
-            return model.liouvillian([th])
-
-    elif copies == 2:
-        model = product_gad_model(2)
-
-        def liouville(th):
-            return model.liouvillian([th, th])
-
-    else:
+    if copies not in (1, 2):
         raise ValueError("copies must be 1 or 2")
+    # product_gad_model(1) has gad's Liouvillians bit for bit, but gad's
+    # are already assembled for the suite
+    model = gad_model() if copies == 1 else product_gad_model(2)
 
     h = 1e-5
     offsets = (0.0, h, -h, h / 2, -h / 2)
-    chan = dict(zip(offsets, _channels([liouville(theta + dt) for dt in offsets], t)))
+    lmats = [model.liouvillian([theta + dt] * copies) for dt in offsets]
+    chan = dict(zip(offsets, _channels(lmats, t)))
     bound = copies / (theta * (1.0 - theta))
     qfis = []
     gaps = []

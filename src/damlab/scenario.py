@@ -142,8 +142,10 @@ def load_model_file(path):
     domain = []
     for k, pair in enumerate(domain_raw):
         try:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise TypeError
             lo, hi = float(pair[0]), float(pair[1])
-        except (TypeError, ValueError, IndexError):
+        except (TypeError, ValueError):
             _fail(path, f"param_domain[{k}]: expected [lo, hi]")
         if not lo < hi:
             _fail(path, f"param_domain[{k}]: need lo < hi")
@@ -189,8 +191,11 @@ def load_model_file(path):
                     f"{list(corner)}",
                 )
 
+    observables_raw = doc.get("observables", {})
+    if not isinstance(observables_raw, dict):
+        _fail(path, "observables must be an object of named matrices")
     observables = {}
-    for oname, raw in (doc.get("observables") or {}).items():
+    for oname, raw in observables_raw.items():
         obs = _parse_cmatrix(raw, dim, f"observables[{oname}]", path)
         if np.abs(obs - obs.conj().T).max() > 1e-10:
             _fail(path, f"observables[{oname}]: not Hermitian")

@@ -37,7 +37,8 @@ from .estimation import (
     mc_dam_error,
     steady_expectation_link,
 )
-from .models import dissipation_coefficient, is_gad
+from .models import STEADY_TOL, dissipation_coefficient, is_gad
+from .operators import devectorize, vectorize
 from .pointer import nonadiabaticity
 from .scenario import scenario_runs
 
@@ -172,6 +173,35 @@ def scenario_link(scn):
     return steady_expectation_link(scn.model, scn.observables[0][1])
 
 
+def _check_identity_link(scn, runs):
+    """Raise ValueError unless the identity link holds at the runs' theta.
+
+    The identity link reads each expectation tr(A_j rho_ss) as theta_j. So
+    tr(A_j rho_ss) must be theta_j and the linear-response Jacobian
+    d tr(A_j rho_ss) / d theta_k = -tr(A_j S(L_k rho_ss)), L_k = dL / d theta_k,
+    the identity, both to STEADY_TOL, the accuracy of the steady state. The
+    check reads the first run's bundle, which that run's readings use as
+    well, so it builds no steady state of its own.
+    """
+    bundle, theta = runs[0].bundle, runs[0].theta
+    drho = [
+        -bundle.s_apply(devectorize(lk @ vectorize(bundle.rho_ss), bundle.dim))
+        for lk in scn.model.liouvillian_derivatives()
+    ]
+    value = np.array([bundle.expectation(run.observable) for run in runs])
+    jac = np.array([[np.trace(run.observable @ d).real for d in drho] for run in runs])
+    off = max(np.abs(value - theta).max(), np.abs(jac - np.eye(len(runs))).max())
+    if not off <= STEADY_TOL:
+        names = ", ".join(label for label, _ in scn.observables)
+        value, jac = ((np.round(x, 6) + 0.0).tolist() for x in (value, jac))
+        raise ValueError(
+            f"the identity link does not hold for model {scn.model.name!r} read "
+            f"through {names}: at theta = {theta.tolist()} the steady "
+            f"expectations are {value} with Jacobian {jac}, not theta and the "
+            f"identity; set [run] link = steady for a one-parameter model"
+        )
+
+
 def _is_integral(v):
     return abs(v - round(v)) < 1e-9
 
@@ -208,6 +238,8 @@ def scaling_sweep(scn):
 
         start = time.perf_counter()
         runs = scenario_runs(scn, t=t, n=n, theta=theta)
+        if scn.link_kind == "identity":
+            _check_identity_link(scn, runs)
         report = mc_dam_error(runs, link, scn.trials, [scn.seed, idx])
         elapsed = (time.perf_counter() - start) * 1e3
         shifts = report.notes.get("mean_shift", [NAN])

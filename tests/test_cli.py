@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from damlab import pointer
 from damlab.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -251,13 +252,16 @@ def test_verify_tampered_anchor_fails_by_name(tmp_path, capsys):
     assert any(r["passed"] == "no" for r in rows)
 
 
-def test_verify_report_identical_across_worker_counts(tmp_path, capsys):
+def test_verify_report_identical_on_rerun(tmp_path, capsys, monkeypatch):
+    # each run starts from an empty mode-table memo, so the rerun recomputes
+    # every table instead of reading the first run's
     cfg = write_cfg(
         tmp_path, QUICK.format(t=200, extra="[verify]\nchecks = 4, 5\n")
         .replace("sigma = 0.1", "sigma = 0.2"),
     )
     blobs = []
     for k in range(2):
+        monkeypatch.setattr(pointer, "_MODE_MEMO", {})
         code, _, _ = run_cli(
             capsys, "verify", "--config", cfg, "--out", tmp_path / f"o{k}"
         )
@@ -315,8 +319,9 @@ def test_model_file_named_gad_is_not_the_builtin(tmp_path, capsys):
     (tmp_path / "fake.json").write_text(text.replace('"driven_gad"', '"gad"'))
     cfg = write_cfg(
         tmp_path,
-        QUICK.format(t=2000, extra="[sweep]\naxis = N\nvalues = 1, 4\n")
-        .replace("name = gad", "file = fake.json"),
+        QUICK.format(
+            t=2000, extra="link = steady\n[sweep]\naxis = N\nvalues = 4, 16\n"
+        ).replace("name = gad", "file = fake.json"),
     )
     code, _, err = run_cli(capsys, "qfi-bound", "--config", cfg, "--out", tmp_path)
     assert code == 2 and "registered gad model" in err
@@ -324,6 +329,27 @@ def test_model_file_named_gad_is_not_the_builtin(tmp_path, capsys):
     assert code == 0, err
     rows = read_csv(tmp_path / "scaling.csv")
     assert {r["series"] for r in rows} == {"dam", "ideal"}
+
+
+@pytest.mark.parametrize(
+    "model, theta, observable",
+    [
+        ("name = product_gad_2", "0.3, 0.6", "excited@2, excited@1"),
+        ("file = driven_gad.json", "0.3", "excited"),
+    ],
+)
+def test_scaling_refuses_an_identity_link_that_does_not_hold(
+    tmp_path, capsys, model, theta, observable
+):
+    # swapped sites read theta_2 as theta_1; the driven qubit's excited
+    # population is 0.399 at theta = 0.3
+    shutil.copy(CONFIG_DIR / "driven_gad.json", tmp_path)
+    text = QUICK.format(t=500, extra="[sweep]\naxis = N\nvalues = 4\n")
+    text = text.replace("name = gad", model).replace("theta = 0.3", f"theta = {theta}")
+    cfg = write_cfg(tmp_path, text.replace("excited", observable))
+    code, _, err = run_cli(capsys, "scaling", "--config", cfg, "--out", tmp_path)
+    assert code == 2 and "the identity link does not hold" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize(

@@ -280,6 +280,22 @@ def test_mode_table_guard_on_diagonal_generators(modes, served):
             assert abs(c[0] * np.exp(n * lam[0]) - np.exp(n * g).sum()) <= 1e-14
 
 
+def test_mode_table_reads_the_round_that_accepts():
+    # G = diag(0, -60) at p = pp = 0: the resolvent at s = 60 _SHIFT_OFFSET
+    # is diag(-1 / s, -1 / (60 + s)), of ratio r = s / (60 + s) = 1e-8. The
+    # guard refuses its square (residual r) and accepts the next (r^2), so
+    # lam = tr(G E^4) / tr(E^4) = -60 r^4; a pair left iterating after it is
+    # accepted would read -60 r^16 at the last round
+    zero = np.zeros((2, 2), dtype=complex)
+    ones = np.ones(2, dtype=complex)
+    lam, c = _kernels_py.mode_table(
+        np.diag([0.0, -60.0]), zero, zero, [0.0], [0.0], ones, ones
+    )
+    s = 60 * _kernels_py._SHIFT_OFFSET
+    assert lam[0] == pytest.approx(-60 * (s / (60 + s)) ** 4, rel=1e-12, abs=0)
+    assert c[0] == 1.0
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "base",

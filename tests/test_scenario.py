@@ -289,6 +289,22 @@ def test_model_file_shape_and_type_errors(tmp_path):
     with pytest.raises(ScenarioError, match="jumps must be a nonempty list"):
         load_model_file(write_model(tmp_path, doc))
 
+    # a list or a string of observables, and a domain entry that is an
+    # object, a string or three numbers
+    pair = r"param_domain\[0\]: expected \[lo, hi\]"
+    for key, value, match in [
+        ("observables", [MODEL["observables"]["tilted"]], "must be an object"),
+        ("observables", "tilted", "must be an object"),
+        ("param_domain", [{"lo": 0.0, "hi": 1.0}], pair),
+        ("param_domain", ["01"], pair),
+        ("param_domain", [[0.0, 1.0, 2.0]], pair),
+    ]:
+        doc = json.loads(json.dumps(MODEL))
+        doc[key] = value
+        with pytest.raises(ScenarioError, match=match) as info:
+            load_model_file(write_model(tmp_path, doc, name="malformed.json"))
+        assert "malformed.json" in str(info.value)
+
 
 @pytest.mark.parametrize(
     "edit, where",
