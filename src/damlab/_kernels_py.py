@@ -356,13 +356,13 @@ def _modes(g, p, pp, basis, w, v):
     live = np.ones(n, dtype=bool)
     for _ in range(_MODE_ROUNDS):
         e *= 1.0 / _largest_part(e)
-        tr = _ordered_sum(np.diagonal(e).T)
+        tr = _ordered_sum(np.ascontiguousarray(np.diagonal(e).T))
         e2 = _mul(e, e)
         size = np.abs(tr)
         live &= size >= MODE_TOL
         ok = live & (_largest_part(e2 - e * tr) < MODE_TOL * size * size)
         e_read[..., ok] = e2[..., ok]
-        tr_read[ok] = _ordered_sum(np.diagonal(e2).T)[ok]
+        tr_read[ok] = _ordered_sum(np.ascontiguousarray(np.diagonal(e2).T))[ok]
         accepted |= ok
         live &= ~ok
         if not live.any():

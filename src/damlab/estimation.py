@@ -17,7 +17,8 @@ import numpy as np
 import numpy.random
 
 from ._kernels_py import expm_batch
-from .models import _bordered_solve, _steady_gaps, gad_model, product_gad_model
+from .models import STEADY_TOL, _bordered_solve, _steady_gaps
+from .models import gad_model, product_gad_model
 from .operators import devectorize, is_density_matrix, is_hermitian, vectorize
 from .pointer import DamRun, pointer_distribution, sample_pointer, variance_closed_form
 
@@ -52,17 +53,18 @@ PAULI = (
 class LinkFunction:
     """Invertible map between parameters and observable expectations.
 
-    forward: theta (m,) -> expectations (m,). inverse goes the other way,
-    on an (n, m) block of expectation rows at once, and returns the (n, m)
-    block of parameters. jacobian_inverse(avec) is the (m, m) Jacobian of
-    the inverse map; image is the per-axis (lo, hi) box of expectations.
+    forward: theta (..., m) -> expectations (..., m). inverse maps an (n, m)
+    block of expectation rows to the (n, m) block of parameters in
+    ``domain``, the per-axis (lo, hi) box of estimates, where a reading
+    outside the image lands on a face. jacobian_inverse(theta) is the
+    (m, m) Jacobian of the inverse map at f(theta).
     """
 
     m: int
     forward: Callable
     inverse: Callable
     jacobian_inverse: Callable
-    image: tuple
+    domain: tuple
     # accepted and dropped: perfbench/tracer.py still passes it to
     # dataclasses.replace when it wraps a link
     inverse_batch: InitVar[Callable] = None
@@ -72,126 +74,120 @@ def identity_link(domain=((0.0, 1.0),)):
     """Link for models whose expectations equal the parameters themselves."""
     domain = tuple((float(lo), float(hi)) for lo, hi in domain)
     m = len(domain)
-    eye = np.eye(m)
+    lo, hi = np.array(domain).T
 
     return LinkFunction(
         m=m,
         forward=lambda th: np.atleast_1d(np.asarray(th, dtype=float)).copy(),
-        inverse=lambda rows: np.asarray(rows, dtype=float).copy(),
-        jacobian_inverse=lambda a: eye.copy(),
-        image=domain,
+        inverse=lambda rows: np.clip(np.asarray(rows, dtype=float), lo, hi),
+        jacobian_inverse=lambda theta: np.eye(m),
+        domain=domain,
     )
 
 
 NEWTON_MAX_STEPS = 60
 NEWTON_RTOL = 1e-13
-# the steady link's seed table: thetas spaced evenly on the domain shrunk by
-# LINK_MARGIN_REL of its width at each end
-LINK_TABLE_POINTS = 401
+# the steady link's seeds: round(LINK_SEEDS^(1/M)) thetas per axis, evenly on
+# the domain shrunk by LINK_MARGIN_REL of its width at each end
+LINK_SEEDS = 401
 LINK_MARGIN_REL = 1e-6
 
 
-def steady_expectation_link(model, a):
-    """Exact link theta -> tr(A rho_ss(theta)) for a single-parameter model.
+def steady_expectation_link(model, observables):
+    """Exact link theta -> f_j = tr(A_j rho_ss(theta)), one A_j per parameter.
 
-    Every model is affine in theta, so dL/dtheta = L1 is the model's fixed
-    sum of dissipators. rho_ss is the models' bordered solve with trace 1,
-    batched over thetas; the derivative is the linear response
-    d rho = -S L1 rho, the same bordered solve with trace 0. The inverse
-    seeds from a monotone table of LINK_TABLE_POINTS thetas, checked by the
-    models' zero-mode/gap rule, and runs a safeguarded Newton iteration on
-    all readings at once until |f - a| <= NEWTON_RTOL ||A||; readings not
-    converged after NEWTON_MAX_STEPS raise RuntimeError.
+    rho_ss is the models' bordered solve with trace 1, batched over thetas;
+    J_jk = df_j / dtheta_k is its linear response, the same solve with the M
+    right-hand sides -L_k rho_ss, L_k = dL / dtheta_k, and trace 0. The seeds
+    pass the models' zero-mode/gap rule, and det J must keep one sign, clear
+    of rounding, over them, else the observables cannot identify theta. A
+    reading starts at the seed nearest in f, takes a linearized step on its
+    J, then Newton steps clipped to the shrunk box until |f - a| <=
+    NEWTON_RTOL max_j ||A_j||, or RuntimeError after NEWTON_MAX_STEPS; one
+    pushed out through a face twice running is outside the image and stays.
     """
-    if model.param_dim != 1:
-        raise ValueError("numeric links are single-parameter only")
-    a = np.asarray(a, dtype=complex)
-    l1 = model.liouvillian_derivatives()[0]
-    lo, hi = model.param_domain[0]
-    margin = LINK_MARGIN_REL * (hi - lo)
-    grid = np.linspace(lo + margin, hi - margin, LINK_TABLE_POINTS)
-    a_row = vectorize(a.T)  # a_row @ vec(rho) = tr(A rho)
-    tol = NEWTON_RTOL * np.linalg.norm(a, 2)  # ||A|| bounds |f|
-
-    def liouvillians(th):
-        return model.assemble(model.rates(th[:, None]))
+    m = model.param_dim
+    a = np.asarray(observables, dtype=complex)
+    if a.ndim != 3 or len(a) != m:
+        raise ValueError(f"model {model.name!r} needs {m} observables, one each")
+    derivs = model.liouvillian_derivatives()
+    dom_lo, dom_hi = np.array(model.param_domain).T
+    margin = LINK_MARGIN_REL * (dom_hi - dom_lo)
+    lo, hi = dom_lo + margin, dom_hi - margin
+    a_rows = np.stack([vectorize(aj.T) for aj in a], axis=1)  # vec(rho) -> f
+    tol = NEWTON_RTOL * max(np.linalg.norm(aj, 2) for aj in a)  # ||A_j|| >= |f_j|
 
     def solve(lmats):
-        """f and df/dtheta for a stack of Liouvillians."""
+        """f (n, M) and J (n, M, M) for a stack of Liouvillians."""
         rho = _bordered_solve(lmats, np.zeros(lmats.shape[:2] + (1,)), 1.0)
-        drho = _bordered_solve(lmats, -(l1 @ rho), 0.0)
-        return (rho[..., 0] @ a_row).real, (drho[..., 0] @ a_row).real
-
-    lmats = liouvillians(grid)
-    _steady_gaps(lmats, model.name, grid)
-    table, _ = solve(lmats)
-    d = np.diff(table)
-    if np.all(d > 0):
-        a_sorted, t_sorted = table, grid
-    elif np.all(d < 0):
-        a_sorted, t_sorted = table[::-1], grid[::-1]
-    else:
-        raise ValueError("steady expectation is not monotone on the domain")
+        rhs = -np.concatenate([lk @ rho for lk in derivs], axis=-1)
+        jac = (np.swapaxes(_bordered_solve(lmats, rhs, 0.0), 1, 2) @ a_rows).real
+        return (rho[..., 0] @ a_rows).real, np.swapaxes(jac, 1, 2)
 
     def evaluate(th):
-        return solve(liouvillians(th))
+        return solve(model.assemble(model.rates(th)))
+
+    axes = [np.linspace(l, h, round(LINK_SEEDS ** (1 / m))) for l, h in zip(lo, hi)]
+    seeds = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
+    lmats = model.assemble(model.rates(seeds))
+    _steady_gaps(lmats, model.name, seeds)
+    f_seed, j_seed = solve(lmats)
+    # det J within STEADY_TOL of its Hadamard bound, the product of the row
+    # norms, is a rounded zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = np.linalg.det(j_seed) / np.linalg.norm(j_seed, axis=-1).prod(axis=-1)
+    if not (np.all(det > STEADY_TOL) or np.all(det < -STEADY_TOL)):
+        raise ValueError(
+            f"the observables cannot identify theta of model {model.name!r}: "
+            f"det J of the link vanishes or changes sign (non-identifiable)"
+        )
+    jinv_seed = np.linalg.inv(j_seed)
 
     def forward(th):
-        th = np.atleast_1d(np.asarray(th, dtype=float))
-        if np.any((th <= lo) | (th >= hi)):
-            raise ValueError(
-                f"theta {th.tolist()} outside the domain of model {model.name!r}"
-            )
-        return evaluate(th)[0]
+        th = np.asarray(th, dtype=float)
+        if np.any((th <= dom_lo) | (th >= dom_hi)):
+            raise ValueError(f"theta {th.tolist()} outside {model.name!r}'s domain")
+        return evaluate(th.reshape(-1, m))[0].reshape(th.shape)
 
     def inverse(rows):
-        y = np.asarray(rows, dtype=float).ravel()
-        if np.any((y < a_sorted[0] - tol) | (y > a_sorted[-1] + tol)):
-            raise ValueError(
-                f"reading outside the link image "
-                f"[{a_sorted[0]:.12g}, {a_sorted[-1]:.12g}]"
-            )
-        y = np.clip(y, a_sorted[0], a_sorted[-1])
-        # bracket with f(left) <= y <= f(right); left > right when f falls
-        j = np.clip(np.searchsorted(a_sorted, y) - 1, 0, grid.size - 2)
-        left, right = t_sorted[j], t_sorted[j + 1]
-        th = np.interp(y, a_sorted, t_sorted)
-        todo = np.arange(y.size)
+        y = np.asarray(rows, dtype=float).reshape(-1, m)
+        # 64 readings at a time bound the distance array
+        near = np.concatenate([
+            np.argmin(((y[s:s + 64, None] - f_seed) ** 2).sum(-1), axis=1)
+            for s in range(0, len(y), 64)
+        ])
+        step = seeds[near] + (jinv_seed[near] @ (y - f_seed[near])[..., None])[..., 0]
+        th = np.clip(step, lo, hi)
+        side = np.sign(th - step)  # +1 pushed out below the box, -1 above
+        todo = np.arange(len(y))
         for _ in range(NEWTON_MAX_STEPS + 1):
-            f, fp = evaluate(th[todo])
+            f, jac = evaluate(th[todo])
             r = f - y[todo]
-            past = r > 0  # theta beyond the root along increasing f
-            right[todo] = np.where(past, th[todo], right[todo])
-            left[todo] = np.where(past, left[todo], th[todo])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = th[todo] - r / fp
-            lo_b = np.minimum(left[todo], right[todo])
-            hi_b = np.maximum(left[todo], right[todo])
-            ok = np.isfinite(step) & (step >= lo_b) & (step <= hi_b)
-            done = np.abs(r) <= tol
+            done = np.abs(r).max(axis=1) <= tol
+            step = th[todo] - np.linalg.solve(jac, r[..., None])[..., 0]
             # converged readings keep the Newton step from their last residual
-            bisect = 0.5 * (lo_b + hi_b)
-            th[todo] = np.where(ok, step, np.where(done, th[todo], bisect))
-            todo = todo[~done]
+            th[todo] = np.clip(step, lo, hi)
+            pushed = np.sign(th[todo] - step)
+            out = np.any((pushed != 0) & (pushed == side[todo]), axis=1)
+            side[todo] = pushed
+            todo = todo[~(done | out)]
             if todo.size == 0:
-                return th[:, None]
+                return th
         raise RuntimeError(
-            f"steady link: Newton did not converge for {todo.size} of {y.size} "
+            f"steady link: Newton did not converge for {todo.size} of {len(y)} "
             f"readings in {NEWTON_MAX_STEPS} steps (worst residual "
             f"{np.abs(r).max():.3g}, tolerance {tol:.3g})"
         )
 
-    def jacobian_inverse(avec):
-        _, fp = evaluate(inverse(np.reshape(avec, (1, 1)))[0])
-        with np.errstate(divide="ignore"):
-            return np.array([[1.0 / fp[0]]])
+    def jacobian_inverse(theta):
+        return np.linalg.inv(evaluate(np.reshape(theta, (1, m)))[1][0])
 
     return LinkFunction(
-        m=1,
+        m=m,
         forward=forward,
         inverse=inverse,
         jacobian_inverse=jacobian_inverse,
-        image=((float(a_sorted[0]), float(a_sorted[-1])),),
+        domain=tuple(zip(lo.tolist(), hi.tolist())),
     )
 
 
@@ -201,7 +197,7 @@ class Estimate(NamedTuple):
 
 
 def dam_estimate(q, n, link):
-    """theta_hat = inverse(q / N); out-of-image readings clamp and flag.
+    """theta_hat = inverse(q / N), clamped when on a face of the link's domain.
 
     ``q`` may be a scalar (m=1) or a length-m vector of pointer readings.
     Returns an Estimate(theta, clamped) pair.
@@ -215,15 +211,12 @@ def dam_estimate(q, n, link):
 
 
 def _estimate_batch(qs, n, link):
-    """dam_estimate over an (n_trials, m) block of readings: the clamped
-    inverse of every row and a mask of the rows that were clamped."""
+    """dam_estimate over an (n_trials, m) block of readings: every row's
+    inverse, and the mask of rows on a face of the link's domain."""
     a = np.asarray(qs, dtype=float) / float(n)
-    lo = np.array([b[0] for b in link.image])
-    hi = np.array([b[1] for b in link.image])
-    clamp_mask = np.any((a < lo) | (a > hi), axis=1)
-    a = np.clip(a, lo, hi)
     thetas = np.asarray(link.inverse(a), dtype=float).reshape(a.shape)
-    return thetas, clamp_mask
+    lo, hi = np.array(link.domain).T
+    return thetas, np.any((thetas <= lo) | (thetas >= hi), axis=1)
 
 
 def _shared_runs(runs, link):
@@ -237,10 +230,17 @@ def _shared_runs(runs, link):
     return runs
 
 
+def _link_theta(runs, m):
+    """The theta that M runs estimate: run j gives component j, its one
+    parameter or entry j of the M parameters that all runs share."""
+    if any(r.theta.size not in (1, m) for r in runs):
+        raise ValueError(f"each run must carry 1 or {m} parameters")
+    return np.array([r.theta[j if r.theta.size > 1 else 0] for j, r in enumerate(runs)])
+
+
 def _jacobian_inverse(runs, link):
-    """The link's inverse Jacobian at the runs' steady expectations."""
-    avec = np.array([r.bundle.expectation(r.observable) for r in runs])
-    jinv = np.asarray(link.jacobian_inverse(avec), dtype=float)
+    """The link's inverse Jacobian at the runs' theta."""
+    jinv = np.asarray(link.jacobian_inverse(_link_theta(runs, link.m)), dtype=float)
     if jinv.shape != (link.m, link.m) or not np.all(np.isfinite(jinv)):
         raise ValueError("singular link Jacobian")
     return jinv
@@ -417,9 +417,8 @@ def _entropy(seed):
 def mc_dam_error(runs, link, trials, seed):
     """Monte Carlo error of the pointer estimator against the formula.
 
-    ``runs`` is one DamRun or, for factorizing multi-parameter setups (one
-    pointer per commuting local observable), a list of single-parameter runs
-    sharing N, T and apparatus. Readings are sampled from the exact pointer
+    ``runs`` is one DamRun or a list of runs, one per link parameter, each
+    with its own pointer and all sharing N, T and apparatus. Readings are sampled from the exact pointer
     distributions with per-observable seed substreams; runs with more than 1%
     clamped readings are rejected instead of silently biasing the estimate.
     """
@@ -427,20 +426,7 @@ def mc_dam_error(runs, link, trials, seed):
     if trials < 100:
         raise ValueError("need at least 100 trials")
     runs = _shared_runs(runs, link)
-    m = len(runs)
-    # run j estimates component j: either each run is a single-parameter
-    # marginal model, or all runs share the full parameter vector
-    theta_true = np.empty(m)
-    for j, r in enumerate(runs):
-        if r.theta.size == 1:
-            theta_true[j] = r.theta[0]
-        elif r.theta.size == m:
-            theta_true[j] = r.theta[j]
-        else:
-            raise ValueError(
-                f"run {j} carries {r.theta.size} parameters, expected 1 or {m}"
-            )
-
+    theta_true = _link_theta(runs, link.m)
     dists = [pointer_distribution(r, "exact") for r in runs]
     ent = _entropy(seed)
     qs = np.column_stack(
@@ -453,7 +439,8 @@ def mc_dam_error(runs, link, trials, seed):
     clamp_fraction = float(clamp_mask.mean())
     if clamp_fraction > 0.01:
         raise ValueError(
-            f"{clamp_fraction:.2%} of trials clamped to the link image (limit 1%)"
+            f"{clamp_fraction:.2%} of trials clamped to a face of the link domain "
+            f"(limit 1%)"
         )
     dev2 = ((thetas - theta_true) ** 2).sum(axis=1)
     empirical = float(np.sqrt(dev2.mean()))
@@ -462,7 +449,7 @@ def mc_dam_error(runs, link, trials, seed):
         theta_hat=thetas.mean(axis=0),
         predicted_error=predicted,
         empirical_error=empirical,
-        ci=_chi2_ci(empirical, trials * m),
+        ci=_chi2_ci(empirical, trials * link.m),
         trials=trials,
         notes={
             "clamp_fraction": clamp_fraction,

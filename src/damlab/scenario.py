@@ -15,7 +15,7 @@ optionally [sweep] and [verify]:
     [run]
     t = 200
     n = 1
-    link = identity             ; or steady (numeric table from the model)
+    link = identity             ; or steady (exact, one observable per parameter)
     trials = 1000
     seed = 123                  ; mandatory, never defaulted from the clock
     out_dir = out               ; optional
@@ -35,7 +35,8 @@ Custom models are JSON files: complex matrices are nested [re, im] pairs, and
 jump rates are affine in the parameters, {"const": c, "slope_per_param":
 [s_1, ...]} meaning rate(theta) = c + s . theta. Rates must be nonnegative on
 the whole (box) domain, which for affine maps is checked at the corners.
-Unknown keys are errors here too: at the top level, in a jump and in a rate.
+Unknown keys are errors here too: at the top level, in a jump and in a rate,
+and so are true and false wherever a number belongs.
 
 Registered model names: gad, product_gad_2, product_gad_3. Registered
 observables: "excited" (the |0><0| projector) and "excited@k" for site k of a
@@ -97,6 +98,18 @@ def _check_keys(obj, accepted, where, path):
             )
 
 
+def _refuse_bools(node, where, path):
+    """Fail at the first JSON true or false in ``node``: float() reads 1, 0."""
+    if isinstance(node, bool):
+        _fail(path, f"{where}: expected a number, got {json.dumps(node)}")
+    if isinstance(node, list):
+        for i, child in enumerate(node):
+            _refuse_bools(child, f"{where}[{i}]", path)
+    elif isinstance(node, dict):
+        for key, child in node.items():
+            _refuse_bools(child, f"{where}.{key}" if where else key, path)
+
+
 def _parse_cmatrix(raw, dim, where, path):
     try:
         arr = np.asarray(raw, dtype=float)
@@ -133,6 +146,7 @@ def load_model_file(path):
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         _fail(path, "missing model name")
+    _refuse_bools(doc, "", path)
     dim = doc.get("dim")
     if not isinstance(dim, int) or not 2 <= dim <= 8:
         _fail(path, "dim must be an integer in [2, 8]")
@@ -438,8 +452,6 @@ def load_scenario(path, seed=None, out_dir=None):
     link_kind = run.get("link", "identity")
     if link_kind not in ("identity", "steady"):
         _fail(path, f"[run] link must be identity or steady, got {link_kind!r}")
-    if link_kind == "steady" and model.param_dim != 1:
-        _fail(path, "the steady link is single-parameter only")
     trials = run.get("trials", 1000)
     if trials < 100:
         _fail(path, "[run] trials must be at least 100")

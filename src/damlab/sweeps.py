@@ -170,7 +170,7 @@ def scenario_link(scn):
     """The estimator link declared by a scenario."""
     if scn.link_kind == "identity":
         return identity_link(domain=scn.model.param_domain)
-    return steady_expectation_link(scn.model, scn.observables[0][1])
+    return steady_expectation_link(scn.model, [a for _, a in scn.observables])
 
 
 def _check_identity_link(scn, runs):
@@ -198,7 +198,7 @@ def _check_identity_link(scn, runs):
             f"the identity link does not hold for model {scn.model.name!r} read "
             f"through {names}: at theta = {theta.tolist()} the steady "
             f"expectations are {value} with Jacobian {jac}, not theta and the "
-            f"identity; set [run] link = steady for a one-parameter model"
+            f"identity; set [run] link = steady"
         )
 
 

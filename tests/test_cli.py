@@ -352,6 +352,26 @@ def test_scaling_refuses_an_identity_link_that_does_not_hold(
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_two_parameter_steady_link_scaling(tmp_path, capsys):
+    cfg = CONFIG_DIR / "driven_gad2_scaling.ini"
+    code, _, err = run_cli(capsys, "scaling", "--config", cfg, "--out", tmp_path)
+    assert code == 0, err
+    dam = [r for r in read_csv(tmp_path / "scaling.csv") if r["series"] == "dam"]
+    assert [float(r["value"]) for r in dam] == [20.0, 50.0, 100.0]
+    for r in dam:
+        # 500 trials of two readings: the empirical error is good to about 2 %
+        got, want = float(r["empirical_error"]), float(r["predicted_error"])
+        assert abs(got - want) <= 0.1 * want
+    # tilted reads <excited> - 1/2 on this model, so it adds nothing
+    shutil.copy(CONFIG_DIR / "driven_gad2.json", tmp_path)
+    text = cfg.read_text().replace("excited, sigma_y", "excited, tilted")
+    bad = write_cfg(tmp_path, text, name="tilted.ini")
+    out_dir = tmp_path / "tilted"
+    code, _, err = run_cli(capsys, "scaling", "--config", bad, "--out", out_dir)
+    assert code == 2 and "non-identifiable" in err
+    assert not out_dir.exists() or not list(out_dir.glob("*.csv"))
+
+
 @pytest.mark.parametrize(
     "anchor, added, name",
     [
@@ -403,6 +423,27 @@ def test_non_finite_model_file_number_exits_2(tmp_path, capsys, literal):
     )
     assert code == 2, err
     assert "driven_gad.json" in err and f"non-finite value '{literal}'" in err
+
+
+@pytest.mark.parametrize(
+    "old, new, where",
+    [
+        ("[[0.0, 1.0]]", "[[false, true]]", "param_domain[0][0]"),
+        ('"const": 1.0', '"const": true', "jumps[1].rate.const"),
+    ],
+    ids=["param-domain", "rate-const"],
+)
+def test_model_file_boolean_exits_2(tmp_path, capsys, old, new, where):
+    # float(True) is 1.0: a boolean must not load as a number
+    text = (CONFIG_DIR / "driven_gad.json").read_text()
+    assert old in text
+    (tmp_path / "driven_gad.json").write_text(text.replace(old, new, 1))
+    shutil.copy(CONFIG_DIR / "driven_demo.ini", tmp_path / "driven_demo.ini")
+    code, _, err = run_cli(
+        capsys, "steady", "--config", tmp_path / "driven_demo.ini", "--out", tmp_path
+    )
+    assert code == 2, err
+    assert "driven_gad.json" in err and f"{where}: expected a number, got" in err
 
 
 HUGE_INT = "1" + "0" * 400

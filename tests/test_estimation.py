@@ -41,6 +41,7 @@ from damlab.models import (
 )
 from damlab.operators import devectorize, lindblad_superoperator, vectorize
 from damlab.pointer import DamRun, default_apparatus
+from damlab.scenario import load_model_file
 
 from oracles import chi2_quantile_error, dense_bundle, random_density
 
@@ -83,30 +84,31 @@ def test_link_has_one_inverse_and_accepts_the_retired_keyword():
 
     wrapped = dataclasses.replace(link, inverse=double, inverse_batch=len)
     assert [f.name for f in dataclasses.fields(wrapped)] == [
-        "m", "forward", "inverse", "jacobian_inverse", "image"
+        "m", "forward", "inverse", "jacobian_inverse", "domain"
     ]
     # estimates read the one inverse
     assert dam_estimate(0.2, 1, wrapped).theta == pytest.approx(0.4)
 
 
 def test_steady_expectation_link_on_gad_is_identity():
-    link = steady_expectation_link(gad_model(), A)
+    link = steady_expectation_link(gad_model(), [A])
     for th in (0.05, 0.3, 0.62, 0.95):
         f = link.forward(np.array([th]))
         assert abs(f[0] - th) <= 1e-9
         assert abs(link.inverse(f[None])[0, 0] - th) <= 1e-8
     assert abs(link.jacobian_inverse(np.array([0.3]))[0, 0] - 1.0) <= 1e-6
-
-
-    with pytest.raises(ValueError, match="outside the link image"):
-        link.inverse(np.array([[1.5]]))
+    # a reading outside the image lands on the face of the domain, flagged
+    (lo, hi), = link.domain
+    assert link.inverse(np.array([[1.5], [-0.5]]))[:, 0].tolist() == [hi, lo]
+    assert dam_estimate(1.5, 1, link) == (hi, True)
+    assert not dam_estimate(0.4, 1, link).clamped
 
 
 @st.composite
 def affine_models(draw, max_params=1):
     """Random GKLS model of dim 2-3 with a Hamiltonian and 1-``max_params``
     parameters on (0, 1)^M, rates affine in them, and a random Hermitian
-    observable. Entries are quarter-integers."""
+    observable per parameter. Entries are quarter-integers."""
     d = draw(st.integers(2, 3))
     m = draw(st.integers(1, max_params)) if max_params > 1 else 1
 
@@ -136,31 +138,39 @@ def affine_models(draw, max_params=1):
         hamiltonian=h,
         jumps=tuple(jumps),
     )
-    return model, hermitian()
+    return model, [hermitian() for _ in range(m)]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(affine_models(), st.floats(0.02, 0.98))
-def test_steady_link_matches_bundle_oracle(model_and_a, theta):
+@given(
+    affine_models(max_params=2),
+    st.lists(st.floats(0.02, 0.98), min_size=2, max_size=2),
+)
+def test_steady_link_matches_bundle_oracle(model_and_a, point):
     model, a = model_and_a
+    m = model.param_dim
+    theta = np.array(point[:m])
     try:
         link = steady_expectation_link(model, a)
     except ValueError as exc:
-        if "unique gapped steady state" in str(exc) or "not monotone" in str(exc):
+        if "unique gapped steady state" in str(exc) or "cannot identify" in str(exc):
             reject()
         raise
 
     def oracle(th):
-        rho, _ = dense_bundle(model.liouvillian([th]))
-        return np.trace(a @ rho).real
+        rho, _ = dense_bundle(model.liouvillian(th))
+        return np.array([np.trace(aj @ rho).real for aj in a])
 
-    f = link.forward(np.array([theta]))
-    assert abs(f[0] - oracle(theta)) <= 1e-10
+    f = link.forward(theta)
+    assert np.abs(f - oracle(theta)).max() <= 1e-10
     h = 1e-5
-    slope = (oracle(theta + h) - oracle(theta - h)) / (2.0 * h)
-    jinv = link.jacobian_inverse(f)[0, 0]
-    assert abs(jinv * slope - 1.0) <= 1e-6
-    assert abs(link.inverse(f[None])[0, 0] - theta) <= 1e-10
+    jac = np.column_stack(
+        [(oracle(theta + d) - oracle(theta - d)) / (2.0 * h) for d in h * np.eye(m)]
+    )
+    if np.linalg.cond(jac) > 1e4:
+        reject()  # the difference quotient is good to about 1e-10
+    assert np.abs(link.jacobian_inverse(theta) @ jac - np.eye(m)).max() <= 1e-6
+    assert np.abs(link.inverse(f[None])[0] - theta).max() <= 1e-10
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -202,7 +212,7 @@ def test_liouvillian_assembles_no_superoperator(monkeypatch):
         # the factories share one model per argument, so nothing in it may change
         with pytest.raises(ValueError, match="read-only"):
             m.jumps[0][0][0, 0] = 1.0
-    steady_expectation_link(gad_model(), A)
+    steady_expectation_link(gad_model(), [A])
 
 
 def qubit_model(name, down, up):
@@ -236,13 +246,14 @@ def test_model_rejects_negative_rates():
     with pytest.raises(ValueError, match="negative jump rate"):
         model.liouvillian([0.6])
     with pytest.raises(ValueError, match="negative jump rate"):
-        steady_expectation_link(model, A)
+        steady_expectation_link(model, [A])
 
 
 def test_steady_link_raises_when_newton_does_not_converge(monkeypatch):
-    # <A> = theta / (theta + 1/2): the table seed alone is not converged
-    link = steady_expectation_link(qubit_model("pumped", (0.0, 1.0), (0.5, 0.0)), A)
-    thetas = np.array([0.3123, 0.71])
+    # <A> = theta / (theta + 1/2): halfway between two seeds, the linearized
+    # step from the nearest seed alone is not converged
+    link = steady_expectation_link(qubit_model("pumped", (0.0, 1.0), (0.5, 0.0)), [A])
+    thetas = np.array([0.31125, 0.71125])
     readings = link.forward(thetas)
     assert np.abs(readings - thetas / (thetas + 0.5)).max() <= 1e-15
     rows = readings[:, None]
@@ -251,6 +262,55 @@ def test_steady_link_raises_when_newton_does_not_converge(monkeypatch):
     monkeypatch.setattr(estimation, "NEWTON_MAX_STEPS", 0)
     with pytest.raises(RuntimeError, match="did not converge for 2 of 2"):
         link.inverse(rows)
+
+
+def driven_gad2():
+    """The shipped two-parameter driven qubit and its named observables."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    return load_model_file(configs / "driven_gad2.json")
+
+
+def test_two_parameter_steady_link_round_trips():
+    model, named = driven_gad2()
+    link = steady_expectation_link(model, [named["excited"], named["sigma_y"]])
+    assert link.m == 2
+    rng = np.random.default_rng(4)
+    thetas = rng.uniform((0.06, 0.56), (0.44, 0.99), (200, 2))
+    assert np.abs(link.inverse(link.forward(thetas)) - thetas).max() <= 1e-10
+    # the linear response matches the readings' central differences
+    theta, h = np.array([0.25, 0.8]), 1e-6
+    jac = np.column_stack([
+        (link.forward(theta + d) - link.forward(theta - d)) / (2.0 * h)
+        for d in h * np.eye(2)
+    ])
+    assert np.abs(link.jacobian_inverse(theta) @ jac - np.eye(2)).max() <= 1e-7
+
+
+def test_steady_link_refuses_observables_that_cannot_identify_theta():
+    # the steady state has <sigma_x> = 0, so tilted reads <excited> - 1/2
+    model, named = driven_gad2()
+    with pytest.raises(ValueError, match="cannot identify.*non-identifiable"):
+        steady_expectation_link(model, [named["excited"], named["tilted"]])
+    with pytest.raises(ValueError, match="needs 2 observables, one each"):
+        steady_expectation_link(model, [named["excited"]])
+
+
+def test_two_parameter_reading_outside_the_image_lands_on_a_face():
+    model, named = driven_gad2()
+    link = steady_expectation_link(model, [named["excited"], named["sigma_y"]])
+    (lo1, hi1), (lo2, hi2) = link.domain
+    inside = link.forward(np.array([0.25, 0.8]))
+    est = dam_estimate(inside, 1, link)
+    assert not est.clamped and np.abs(est.theta - [0.25, 0.8]).max() <= 1e-10
+    # <excited> = 2 lies beyond every steady state
+    est = dam_estimate(np.array([2.0, inside[1]]), 1, link)
+    assert est.clamped
+    assert est.theta[0] in (lo1, hi1) or est.theta[1] in (lo2, hi2)
+    # 1e-5 inside a face: the seed step leaves the box once, then Newton
+    # comes back, so one push alone does not clamp
+    theta = np.array([0.42, lo2 + 1e-5])
+    est = dam_estimate(link.forward(theta), 1, link)
+    assert not est.clamped and np.abs(est.theta - theta).max() <= 1e-10
 
 
 def test_estimate_applies_inverse_and_clamps():
@@ -276,7 +336,7 @@ def test_error_formula_value():
 def test_error_formula_consistency_over_theta():
     rng = np.random.default_rng(0)
     link = identity_link()
-    slink = steady_expectation_link(gad_model(), A)
+    slink = steady_expectation_link(gad_model(), [A])
     for th in rng.uniform(0.05, 0.95, 20):
         run = gad_run(th, 10, 500.0)
         explicit = np.sqrt(0.1**2 + 2 * th * (1 - th) * 10 / 500.0) / 10
@@ -314,12 +374,12 @@ def test_multiparam_product_value():
 
 
 def test_error_formula_inverts_the_link_jacobian_once():
-    link = steady_expectation_link(gad_model(), A)
+    link = steady_expectation_link(gad_model(), [A])
     calls = []
 
-    def counted(avec):
-        calls.append(avec)
-        return link.jacobian_inverse(avec)
+    def counted(theta):
+        calls.append(theta)
+        return link.jacobian_inverse(theta)
 
     wrapped = dataclasses.replace(link, jacobian_inverse=counted)
     run = gad_run(0.3, 10, 500.0)
@@ -334,8 +394,8 @@ def test_singular_jacobian_is_rejected():
         m=1,
         forward=lambda th: th,
         inverse=lambda rows: rows,
-        jacobian_inverse=lambda a: np.array([[np.inf]]),
-        image=((0.0, 1.0),),
+        jacobian_inverse=lambda theta: np.array([[np.inf]]),
+        domain=((0.0, 1.0),),
     )
     with pytest.raises(ValueError):
         multiparam_error_formula([run], bad)
@@ -362,7 +422,7 @@ def test_ideal_error_floor_value():
     # floor is sigma / N under either link
     run = gad_run(0.3, 10, 500.0)
     assert ideal_error_floor(run, identity_link()) == pytest.approx(0.01, rel=1e-15)
-    slink = steady_expectation_link(gad_model(), A)
+    slink = steady_expectation_link(gad_model(), [A])
     assert ideal_error_floor([run], slink) == pytest.approx(0.01, rel=1e-9)
 
 

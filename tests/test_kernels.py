@@ -250,6 +250,29 @@ def test_mode_table_matches_pade_and_ignores_batching(monkeypatch):
     assert np.array_equal(_kernels_py.mode_table(*args), table)
 
 
+@pytest.mark.parametrize("m", [5, 6, 9])
+def test_mode_table_ignores_batching_above_the_broadcast_size(m, monkeypatch):
+    # BLAS products (m > 4) return strided batches; a pair's mode is still
+    # the same bits alone as in its batch. G = U diag(0, gap) U^* plus small
+    # p and pp terms: every pair has a dominant mode the gap test accepts
+    rng = np.random.default_rng(m)
+    u, _ = np.linalg.qr(random_batch(rng, 1, m)[0])
+    gap = -60.0 - 20.0 * rng.random(m - 1) + 5j * rng.standard_normal(m - 1)
+    base = u @ np.diag(np.concatenate([[0.0], gap])) @ u.conj().T
+    lin_p, lin_pp = random_batch(rng, 2, m, 0.05)
+    p, pp = rng.uniform(-3.0, 3.0, (2, 300))
+    w, v = random_batch(rng, 1, m)[0][:2]
+    table = _kernels_py.mode_table(base, lin_p, lin_pp, p, pp, w, v)
+    assert not np.isnan(table).any()
+    for j in range(p.size):
+        one = slice(j, j + 1)
+        alone = _kernels_py.mode_table(base, lin_p, lin_pp, p[one], pp[one], w, v)
+        assert np.array_equal(alone[:, 0], table[:, j])
+    monkeypatch.setattr(_kernels_py, "_BATCH_ELEMENTS", m * m * 97)
+    streamed = _kernels_py.mode_table(base, lin_p, lin_pp, p, pp, w, v)
+    assert np.array_equal(streamed, table)
+
+
 @pytest.mark.parametrize(
     "modes, served",
     [

@@ -170,7 +170,7 @@ def test_degenerate_steady_space_is_rejected():
 
 def test_steady_link_rejects_degenerate_steady_space():
     with pytest.raises(ValueError, match="'dephasing'.*degenerate"):
-        steady_expectation_link(dephasing_model(), EXCITED_PROJECTOR)
+        steady_expectation_link(dephasing_model(), [EXCITED_PROJECTOR])
 
 
 def test_gapless_generator_is_rejected():
@@ -201,7 +201,7 @@ def test_bundle_expectation():
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(affine_models(), st.floats(0.02, 0.98))
 def test_bundle_matches_dense_oracle(model_and_a, theta):
-    model, a = model_and_a
+    model, (a,) = model_and_a
     try:
         b = steady_state_bundle(model, [theta])
     except ValueError as exc:

@@ -160,15 +160,6 @@ def test_sweep_section_validation(tmp_path):
     assert load_scenario(write(tmp_path, tied)).n_over_t == 0.01
 
 
-def test_steady_link_is_single_parameter_only(tmp_path):
-    text = GOOD.replace("name = gad", "name = product_gad_2")
-    text = text.replace("theta = 0.3", "theta = 0.2, 0.6")
-    text = text.replace("observable = excited", "observable = excited@1, excited@2")
-    text = text.replace("t = 200", "t = 200\nlink = steady")
-    with pytest.raises(ScenarioError, match="single-parameter"):
-        load_scenario(write(tmp_path, text))
-
-
 def test_verify_section_checks_and_overrides(tmp_path):
     text = GOOD + "\n[verify]\nchecks = 2, 3\npert_t = 100\n"
     scn = load_scenario(write(tmp_path, text))
@@ -289,8 +280,8 @@ def test_model_file_shape_and_type_errors(tmp_path):
     with pytest.raises(ScenarioError, match="jumps must be a nonempty list"):
         load_model_file(write_model(tmp_path, doc))
 
-    # a list or a string of observables, and a domain entry that is an
-    # object, a string or three numbers
+    # a list or a string of observables, a domain entry that is an object, a
+    # string, three numbers or booleans, and a boolean matrix entry
     pair = r"param_domain\[0\]: expected \[lo, hi\]"
     for key, value, match in [
         ("observables", [MODEL["observables"]["tilted"]], "must be an object"),
@@ -298,6 +289,9 @@ def test_model_file_shape_and_type_errors(tmp_path):
         ("param_domain", [{"lo": 0.0, "hi": 1.0}], pair),
         ("param_domain", ["01"], pair),
         ("param_domain", [[0.0, 1.0, 2.0]], pair),
+        ("param_domain", [[False, True]], r"param_domain\[0\]\[0\]: expected a number"),
+        ("hamiltonian", [[[0.0, 0.0], [True, 0.0]], [[0.35, 0.0], [0.0, 0.0]]],
+         r"hamiltonian\[0\]\[1\]\[0\]: expected a number"),
     ]:
         doc = json.loads(json.dumps(MODEL))
         doc[key] = value
@@ -333,9 +327,10 @@ def test_model_file_syntax_error_reports_line(tmp_path):
 
 
 def test_shipped_configs_load():
-    for name in ("verify.ini", "scaling_demo.ini", "nonadiabaticity_demo.ini",
-                 "driven_demo.ini"):
-        scn = load_scenario(CONFIG_DIR / name)
+    shipped = sorted(CONFIG_DIR.glob("*.ini"))
+    assert len(shipped) >= 5
+    for path in shipped:
+        scn = load_scenario(path)
         assert scn.seed is not None
     driven = load_scenario(CONFIG_DIR / "driven_demo.ini")
     assert driven.model.name == "driven_gad"
