@@ -7,6 +7,7 @@ multi-parameter error measure is the root of the summed componentwise mean
 squared deviations.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import InitVar, dataclass
@@ -103,8 +104,9 @@ def steady_expectation_link(model, observables):
     of rounding, over them, else the observables cannot identify theta. A
     reading starts at the seed nearest in f, takes a linearized step on its
     J, then Newton steps clipped to the shrunk box until |f - a| <=
-    NEWTON_RTOL max_j ||A_j||, or RuntimeError after NEWTON_MAX_STEPS; one
-    pushed out through a face twice running is outside the image and stays.
+    NEWTON_RTOL max_j ||A_j||, or RuntimeError after NEWTON_MAX_STEPS. One
+    pushed out through a face twice running, the second time by no less than
+    the first, is outside the image and stays on the face.
     """
     m = model.param_dim
     a = np.asarray(observables, dtype=complex)
@@ -158,7 +160,9 @@ def steady_expectation_link(model, observables):
         ])
         step = seeds[near] + (jinv_seed[near] @ (y - f_seed[near])[..., None])[..., 0]
         th = np.clip(step, lo, hi)
-        side = np.sign(th - step)  # +1 pushed out below the box, -1 above
+        # how far each coordinate was pushed back into the box: > 0 from
+        # below, < 0 from above
+        push = th - step
         todo = np.arange(len(y))
         for _ in range(NEWTON_MAX_STEPS + 1):
             f, jac = evaluate(th[todo])
@@ -167,9 +171,10 @@ def steady_expectation_link(model, observables):
             step = th[todo] - np.linalg.solve(jac, r[..., None])[..., 0]
             # converged readings keep the Newton step from their last residual
             th[todo] = np.clip(step, lo, hi)
-            pushed = np.sign(th[todo] - step)
-            out = np.any((pushed != 0) & (pushed == side[todo]), axis=1)
-            side[todo] = pushed
+            pushed, last = th[todo] - step, push[todo]
+            # an in-image reading overshoots a face by less at every step
+            out = np.any((pushed * last > 0) & (np.abs(pushed) >= np.abs(last)), axis=1)
+            push[todo] = pushed
             todo = todo[~(done | out)]
             if todo.size == 0:
                 return th
@@ -352,6 +357,7 @@ def _gamma_upper_fraction(a, x):
             return h
 
 
+@functools.cache
 def _chi2_ppf(q, dof):
     """Quantile of the chi-squared law, x = 2 P^{-1}(dof / 2, q).
 
@@ -361,7 +367,8 @@ def _chi2_ppf(q, dof):
     fraction above. For dof >= 1 the result is within 5e-15 relative of the
     exact quantile. Raises ValueError unless 0 < q < 1 and dof is finite and
     positive, and RuntimeError when the steps do not settle within
-    CHI2_MAX_STEPS.
+    CHI2_MAX_STEPS. Results are cached: a Monte Carlo sweep asks for the
+    same few quantiles at every point.
     """
     q = float(q)
     dof = float(dof)
@@ -570,14 +577,19 @@ def gad_channel_decomposition_check(theta, t):
     """Max-entry defect of exp(L_theta t) = theta Lam0(t) + (1-theta) Lam1(t).
 
     Lam0/Lam1 are built independently from their Bloch actions, so the check
-    exercises both constructions.
+    exercises both constructions. ``theta`` is one value, with a float
+    result, or an array of them, with one defect each from one batched
+    exponential.
     """
-    theta = float(theta)
-    if not 0.0 < theta < 1.0:
+    theta = np.asarray(theta, dtype=float)
+    if not np.all((0.0 < theta) & (theta < 1.0)):
         raise ValueError("theta must lie in (0, 1)")
-    lam_theta = _channels([gad_model().liouvillian([theta])], t)[0]
+    model = gad_model()
+    lam_theta = _channels(model.assemble(model.rates(theta.reshape(-1, 1))), t)
     lam0, lam1 = amplitude_damping_pair(t)
-    return float(np.abs(lam_theta - theta * lam0 - (1.0 - theta) * lam1).max())
+    th = theta.reshape(-1, 1, 1)
+    defect = np.abs(lam_theta - th * lam0 - (1.0 - th) * lam1).max(axis=(1, 2))
+    return float(defect[0]) if theta.ndim == 0 else defect.reshape(theta.shape)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from .operators import (
     dissipator,
     hamiltonian_term,
     is_hermitian,
-    vectorize,
 )
 
 __all__ = [
@@ -290,12 +289,20 @@ class SteadyStateBundle:
         return float(np.trace(np.asarray(a) @ self.rho_ss).real)
 
     def s_apply(self, x):
-        """Apply the pseudoinverse S: solve L y = Q x with tr(y) = 0."""
-        vx = vectorize(x)
-        trace = vx[:: self.dim + 1].sum()  # the diagonal of x
-        qx = vx - trace * self.rho_ss.ravel(order="F")
-        y = _bordered_solve(self.liouvillian, qx[:, None], 0.0)
-        return devectorize(y[:, 0], self.dim)
+        """Apply the pseudoinverse S: solve L y = Q x with tr(y) = 0.
+
+        ``x`` is one operator (d, d) or a stack (..., d, d); a stack is one
+        bordered solve with a column per operator.
+        """
+        x = np.asarray(x, dtype=complex)
+        d = self.dim
+        if x.shape[-2:] != (d, d) or not np.all(np.isfinite(x)):
+            raise ValueError(f"expected finite {d}x{d} operators, got shape {x.shape}")
+        vx = np.swapaxes(x, -1, -2).reshape(-1, d * d).T  # vec of each, as columns
+        trace = vx[:: d + 1].sum(axis=0)  # the diagonal of each x
+        qx = vx - trace * self.rho_ss.reshape(-1, 1, order="F")
+        y = _bordered_solve(self.liouvillian, qx, 0.0)
+        return np.swapaxes(y.T.reshape(x.shape), -1, -2)
 
 
 def steady_state_bundle(model, theta):
@@ -326,16 +333,16 @@ def gad_pseudoinverse_closed_form(x, theta):
 
     S(X) = P(X) - X - |0><0| X |1><1| - |1><1| X |0><0|, with
     P(X) = tr(X) diag(theta, 1-theta). Serves as the independent oracle for
-    the numeric bundle.
+    the numeric bundle. ``x`` is one operator or a stack (..., 2, 2).
     """
     x = np.asarray(x, dtype=complex)
-    if x.shape != (2, 2):
+    if x.shape[-2:] != (2, 2):
         raise ValueError(f"closed form is for qubits, got shape {x.shape}")
     theta = float(theta)
     rho = np.diag([theta, 1.0 - theta]).astype(complex)
-    out = np.trace(x) * rho - x
-    out[0, 1] -= x[0, 1]
-    out[1, 0] -= x[1, 0]
+    out = np.trace(x, axis1=-2, axis2=-1)[..., None, None] * rho - x
+    out[..., 0, 1] -= x[..., 0, 1]
+    out[..., 1, 0] -= x[..., 1, 0]
     return out
 
 

@@ -15,13 +15,19 @@ characteristic function
     C(x)     = int dp phi(p) phi(p - x) K(p, p - x),
     Pr(q)    = (1/2pi) int dx exp(i x q) C(x).
 
-K is evaluated on the half plane p >= p' only (x = p - p' a grid multiple);
+K is needed on the half plane p >= p' only (x = p - p' a grid multiple);
 the other half follows from the conjugation identity K(p', p) = conj K(p, p').
 Grids exponentiate the generator on its minimal realization: the subspace
 reachable from vec(rho_ss) and observable from vec(I). Where A X = X A on
 that subspace, K depends on x alone and a grid needs one exponential per
-offset. Both grids are uniform, so the final transform onto the q grid is a
-chirp-z transform, computed by Bluestein's algorithm with one FFT convolution.
+offset. Such a kernel also takes the offset path: with R_k = sum_i phi(p_i)
+phi(p_i - x_k), one correlation of phi on the p grid, C(x_k) = dp K(x_k) R_k,
+and Delta^2 of ``nonadiabaticity`` is a sum over offsets as well, so no
+half-plane pair is formed. The ideal phase is x-only, and so is the
+perturbative kernel when Im c is exactly 0. Every other kernel is summed
+pair by pair. Both grids are uniform, so the final transform onto the q grid
+is a chirp-z transform, computed by Bluestein's algorithm with one FFT
+convolution.
 
 Only the factor N depends on N: K = w . exp(N G) . v with the N-free
 generator G = T L - i (p A . - p' . A). A grid's realization and its
@@ -289,13 +295,19 @@ def _minimal_realization(base, lin_p, lin_pp, w, v):
     return reduced, bool(drift <= REDUCTION_RTOL * np.linalg.norm(lin_p))
 
 
+def _offsets(app):
+    """The offsets x_k = k dp, k = 0..p_points-1, of the p grid."""
+    p = app.p_grid()
+    return (p[1] - p[0]) * np.arange(p.size)
+
+
 def _grid_pairs(app, x_only):
     """The (p, pp) pairs an exact grid computes: every half-plane pair, or
     one pair (k dp, 0) per offset when the kernel depends on p - pp alone."""
-    p = app.p_grid()
     if x_only:
-        x = (p[1] - p[0]) * np.arange(p.size)
+        x = _offsets(app)
         return x, np.zeros_like(x)
+    p = app.p_grid()
     idx_i, idx_k = _half_plane(app)
     return p[idx_i], p[idx_i - idx_k]
 
@@ -327,12 +339,13 @@ def _kernel_modes(run):
     return entry
 
 
-def _grid_kernels(run, idx_k):
-    """Exact kernels K_N at the run's half-plane pairs, of offsets idx_k.
+def _table_kernels(run):
+    """Exact kernels K_N at the pairs of the run's mode table, and x_only:
+    one kernel per offset when the grid is x-only, else one per half-plane
+    pair.
 
     Pairs with a dominant mode take c exp(N lam) from the memoized table; the
-    pairs it refuses go through the Pade ``trace_kernels`` at N. An
-    x-only grid computes one kernel per offset and scatters it with idx_k.
+    pairs it refuses go through the Pade ``trace_kernels`` at N.
     """
     (base, lin_p, lin_pp, w, v), x_only, (lam, c) = _kernel_modes(run)
     n = run.n
@@ -344,17 +357,51 @@ def _grid_kernels(run, idx_k):
         kv[refused] = kernels.trace_kernels(
             n * base, n * lin_p, n * lin_pp, p1, p2, w, v
         )
+    return kv, x_only
+
+
+def _grid_kernels(run, idx_k):
+    """Exact kernels K_N at the run's half-plane pairs, of offsets idx_k; an
+    x-only grid's kernels are scattered from its offsets with idx_k."""
+    kv, x_only = _table_kernels(run)
     return kv[idx_k] if x_only else kv
+
+
+def _x_only(run, kernel_source):
+    """Whether the run's kernel from ``kernel_source`` depends on x = p - p'
+    alone: an exact grid whose minimal realization is x-only, the ideal
+    phase, and the perturbative kernel when Im c, the factor of its only
+    p + p' term, is exactly 0."""
+    if kernel_source == "exact":
+        return _kernel_modes(run)[1]
+    if kernel_source == "perturbative":
+        return dissipation_coefficient(run.bundle, run.observable).imag == 0.0
+    return True
+
+
+def _offset_kernels(run, kernel_source):
+    """Kernels from ``kernel_source`` at the offsets x_k = k dp of an x-only
+    run; ``_x_only`` must hold."""
+    if kernel_source == "exact":
+        return _table_kernels(run)[0]
+    x = _offsets(run.apparatus)
+    if kernel_source == "perturbative":
+        return perturbative_kernel(run, x, np.zeros_like(x))
+    return np.exp(-1j * x * run.n * run.bundle.expectation(run.observable))
+
+
+def _offset_sums(f):
+    """R_k = sum_i f_i f_{i-k} for every offset k = 0..f.size-1."""
+    return np.correlate(f, f, "full")[f.size - 1:]
 
 
 def _half_plane_kernels(run, kernel_source):
     """Kernels from ``kernel_source`` on the half plane of the run's p grid.
 
-    Returns the grid p, the index pairs (idx_i, idx_k) of ``_half_plane``, the
-    offsets x = p_i - p_j and the kernel at every pair (p_i, p_j).
+    Returns the index pairs (idx_i, idx_k) of ``_half_plane``, the offsets
+    x = p_i - p_j and the kernel at every pair (p_i, p_j).
     """
     app = run.apparatus
-    _check_tail(app)
     p = app.p_grid()
     idx_i, idx_k = _half_plane(app)
     p1 = p[idx_i]
@@ -365,7 +412,7 @@ def _half_plane_kernels(run, kernel_source):
         kv = perturbative_kernel(run, p1, p2)
     else:
         kv = np.exp(-1j * (p1 - p2) * run.n * run.bundle.expectation(run.observable))
-    return p, idx_i, idx_k, p1 - p2, kv
+    return idx_i, idx_k, p1 - p2, kv
 
 
 @dataclass(frozen=True, eq=False)
@@ -440,15 +487,20 @@ def pointer_distribution(run, kernel_source="exact"):
     if kernel_source not in ("exact", "perturbative", "ideal"):
         raise ValueError(f"unknown kernel source {kernel_source!r}")
     app = run.apparatus
-    p, idx_i, idx_k, _, kv = _half_plane_kernels(run, kernel_source)
+    _check_tail(app)
+    p = app.p_grid()
     dp = p[1] - p[0]
     phi = _phi(app, p)
-    contrib = phi[idx_i] * phi[idx_i - idx_k] * kv
-    k = app.p_points
-    c_half = (
-        np.bincount(idx_k, weights=contrib.real, minlength=k)
-        + 1j * np.bincount(idx_k, weights=contrib.imag, minlength=k)
-    ) * dp
+    if _x_only(run, kernel_source):
+        c_half = dp * _offset_kernels(run, kernel_source) * _offset_sums(phi)
+    else:
+        idx_i, idx_k, _, kv = _half_plane_kernels(run, kernel_source)
+        contrib = phi[idx_i] * phi[idx_i - idx_k] * kv
+        k = app.p_points
+        c_half = (
+            np.bincount(idx_k, weights=contrib.real, minlength=k)
+            + 1j * np.bincount(idx_k, weights=contrib.imag, minlength=k)
+        ) * dp
     q = app.q_grid(center=run.n * run.bundle.expectation(run.observable))
     step = (q[-1] - q[0]) / (q.size - 1)
     density = (dp / (2.0 * np.pi)) * _hermitian_chirp_sum(
@@ -500,16 +552,27 @@ def nonadiabaticity(run):
     """Root-mean-square kernel deviation Delta from the ideal phase (N=1).
 
     Delta^2 = int dp dp' |phi(p)|^2 |phi(p')|^2 |K(p,p') - exp(-i(p-p')<A>)|^2,
-    by quadrature over the momentum grid. Scales as O(1/T).
+    by quadrature over the momentum grid, over offsets when K depends on
+    p - p' alone. Scales as O(1/T).
     """
     if run.n != 1:
         raise ValueError("non-adiabaticity is defined for N=1 runs")
-    p, idx_i, idx_k, x, kv = _half_plane_kernels(run, "exact")
-    dev2 = np.abs(kv - np.exp(-1j * x * run.bundle.expectation(run.observable))) ** 2
-    w2 = _phi(run.apparatus, p) ** 2 * (p[1] - p[0])
-    mult = np.where(idx_k == 0, 1.0, 2.0)
-    delta2 = float(np.sum(mult * w2[idx_i] * w2[idx_i - idx_k] * dev2))
-    return math.sqrt(delta2)
+    app = run.apparatus
+    _check_tail(app)
+    p = app.p_grid()
+    w2 = _phi(app, p) ** 2 * (p[1] - p[0])
+    mean_a = run.bundle.expectation(run.observable)
+    if _x_only(run, "exact"):
+        x = _offsets(app)
+        kv = _offset_kernels(run, "exact")
+        offset = np.arange(x.size)
+        weight = _offset_sums(w2)
+    else:
+        idx_i, offset, x, kv = _half_plane_kernels(run, "exact")
+        weight = w2[idx_i] * w2[idx_i - offset]
+    dev2 = np.abs(kv - np.exp(-1j * x * mean_a)) ** 2
+    mult = np.where(offset == 0, 1.0, 2.0)
+    return math.sqrt(float(np.sum(mult * weight * dev2)))
 
 
 def sample_pointer(dist, seed, count):

@@ -8,6 +8,7 @@ lists every metric that missed its threshold.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from damlab import models
@@ -73,6 +74,19 @@ def test_c09_multiparameter(suite):
 
 def test_c10_determinism_reduction(suite):
     _require(suite, 10)
+
+
+def test_pseudoinverse_draws_are_the_one_at_a_time_draws():
+    # check 3 draws its matrices in one call: the same numbers in the same
+    # order as a real and an imaginary 2x2 draw per matrix
+    def rng():
+        return np.random.default_rng(np.random.SeedSequence([VerifyParams().seed, 3]))
+
+    g = rng().standard_normal((50, 2, 2, 2))
+    one = rng()
+    for draw in g:
+        assert np.array_equal(draw[0], one.standard_normal((2, 2)))
+        assert np.array_equal(draw[1], one.standard_normal((2, 2)))
 
 
 def test_suite_assembles_each_models_dissipators_once(monkeypatch):

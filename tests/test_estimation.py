@@ -313,6 +313,22 @@ def test_two_parameter_reading_outside_the_image_lands_on_a_face():
     assert not est.clamped and np.abs(est.theta - theta).max() <= 1e-10
 
 
+def test_two_parameter_reading_next_to_a_face_round_trips_unclamped():
+    model, named = driven_gad2()
+    link = steady_expectation_link(model, [named["excited"], named["sigma_y"]])
+    (lo1, hi1), (lo2, hi2) = link.domain
+    # 5e-6 inside a face: the first clipped iterate leaves theta_1 off by
+    # enough that the next Newton step overshoots the face once more
+    theta = np.array([0.4, lo2 + 5e-6])
+    est = dam_estimate(link.forward(theta), 1, link)
+    assert not est.clamped and np.abs(est.theta - theta).max() <= 1e-12
+    # theta_2 between the model's domain and the link's box: the reading lies
+    # outside the box's image, so it stops on the face, flagged
+    est = dam_estimate(link.forward(np.array([0.4, 0.55 + 2e-7])), 1, link)
+    assert est.clamped and est.theta[1] == lo2
+    assert abs(est.theta[0] - 0.4) <= 1e-5
+
+
 def test_estimate_applies_inverse_and_clamps():
     link = identity_link()
     est = dam_estimate(1.7, 5, link)
@@ -553,6 +569,8 @@ def test_chi2_quantile_rejects_bad_input(q, dof):
 @pytest.mark.parametrize("steps", [0, 1])
 def test_chi2_quantile_raises_when_not_converged(monkeypatch, steps):
     monkeypatch.setattr(estimation, "CHI2_MAX_STEPS", steps)
+    # quantiles are cached, and earlier tests have asked for this one
+    _chi2_ppf.cache_clear()
     with pytest.raises(RuntimeError, match="did not converge"):
         _chi2_ppf(0.025, 1000)
 
@@ -673,6 +691,15 @@ def test_channel_decomposition_defect():
     for th in (0.1, 0.5, 0.9):
         for t in (0.1, 1.0, 5.0):
             assert gad_channel_decomposition_check(th, t) <= 1e-10
+    # an array of thetas is one batched exponential, one defect each
+    thetas = np.array([[0.1, 0.5], [0.9, 0.3]])
+    got = gad_channel_decomposition_check(thetas, 1.0)
+    assert got.shape == thetas.shape and got.max() <= 1e-10
+    single = [gad_channel_decomposition_check(th, 1.0) for th in thetas.ravel()]
+    assert all(isinstance(v, float) for v in single)
+    assert np.abs(got.ravel() - single).max() <= 1e-15
+    with pytest.raises(ValueError):
+        gad_channel_decomposition_check(np.array([0.3, 1.0]), 1.0)
     with pytest.raises(ValueError):
         gad_channel_decomposition_check(1.0, 1.0)
     with pytest.raises(ValueError):

@@ -99,6 +99,26 @@ def test_pseudoinverse_matches_closed_form():
             assert np.abs(got - gad_pseudoinverse_closed_form(x, theta)).max() <= 1e-9
 
 
+def test_pseudoinverse_and_closed_form_take_stacks():
+    # a stack is one bordered solve, a column per operator; the closed form
+    # stays the oracle
+    theta = 0.3
+    b = steady_state_bundle(gad_model(), (theta,))
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((3, 4, 2, 2)) + 1j * rng.standard_normal((3, 4, 2, 2))
+    got = b.s_apply(x)
+    closed = gad_pseudoinverse_closed_form(x, theta)
+    assert got.shape == closed.shape == x.shape
+    assert np.abs(got - closed).max() <= 1e-12
+    for idx in np.ndindex(3, 4):
+        assert np.abs(got[idx] - b.s_apply(x[idx])).max() <= 1e-15
+        assert np.array_equal(closed[idx], gad_pseudoinverse_closed_form(x[idx], theta))
+    with pytest.raises(ValueError, match="2x2 operators"):
+        b.s_apply(np.eye(3))
+    with pytest.raises(ValueError, match="finite"):
+        b.s_apply(np.full((2, 2), np.nan))
+
+
 def test_closed_form_examples():
     # off-diagonal elements flip sign at twice their weight
     e01 = np.zeros((2, 2), dtype=complex)

@@ -569,6 +569,81 @@ def _driven_file_run(n):
     )
 
 
+@st.composite
+def x_only_runs(draw):
+    """Runs whose exact kernel depends on p - p' alone: gad read through
+    excited, and product_gad_2 through excited@1, over theta, sigma, T and N."""
+    app = default_apparatus(draw(st.floats(0.1, 0.3)))
+    t = draw(st.floats(50.0, 2000.0))
+    n = draw(st.integers(1, 10))
+    theta = st.floats(0.05, 0.95)
+    if draw(st.booleans()):
+        return DamRun(gad_model(), [draw(theta)], EXCITED_PROJECTOR, t, n, app)
+    return DamRun(
+        product_gad_model(2), [draw(theta), draw(theta)],
+        np.kron(EXCITED_PROJECTOR, np.eye(2)), t, n, app,
+    )
+
+
+SOURCES = ("exact", "perturbative", "ideal")
+
+
+def _forbidden(*args):
+    raise AssertionError("half-plane pairs formed")
+
+
+def _densities_and_delta(run):
+    """The run's density from every kernel source, or the error it raises,
+    and the non-adiabaticity of its N = 1 run."""
+    out = []
+    for source in SOURCES:
+        try:
+            out.append(pointer_distribution(run, source).density)
+        except ValueError as exc:
+            out.append(str(exc))
+    return out, nonadiabaticity(dataclasses.replace(run, n=1.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(x_only_runs())
+def test_offset_path_matches_pair_path(run):
+    assert all(pointer._x_only(run, source) for source in SOURCES)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pointer, "_half_plane", _forbidden)
+        offsets, delta = _densities_and_delta(run)
+    # the pair path, summed pair by pair, is the oracle
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pointer, "_x_only", lambda run, kernel_source: False)
+        pairs, delta_pairs = _densities_and_delta(run)
+    for got, want in zip(offsets, pairs):
+        if isinstance(want, str):
+            assert got == want
+        else:
+            # relative to the peak: the pair path puts the phases of the
+            # ideal and perturbative kernels at p_i - p_j, which differ from
+            # the Fourier stage's offsets k dp by rounding
+            assert np.abs(got - want).max() <= 1e-13 * want.max()
+    assert abs(delta - delta_pairs) <= 1e-13
+
+
+def test_driven_tilted_run_takes_the_pair_path(monkeypatch):
+    # its grid depends on p + p', and so does its perturbative kernel (Im c)
+    run = _driven_file_run(5.0)
+    assert not pointer._x_only(run, "exact")
+    assert not pointer._x_only(run, "perturbative")
+    assert pointer._x_only(run, "ideal")
+    formed = []
+    half_plane = pointer._half_plane
+    monkeypatch.setattr(pointer, "_half_plane", lambda app: formed.append(app) or half_plane(app))
+    for source in SOURCES:
+        formed.clear()
+        pointer_distribution(run, source)
+        assert bool(formed) == (source != "ideal")
+    formed.clear()
+    nonadiabaticity(dataclasses.replace(run, n=1.0))
+    assert formed
+
+
 def test_kernels_are_a_pure_function_of_the_run(monkeypatch):
     # the N = 10 distribution of a sweep is the same computed first, after
     # the N = 5 run that filled the memo, and in a fresh interpreter
