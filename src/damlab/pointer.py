@@ -399,20 +399,25 @@ def _half_plane_kernels(run, kernel_source):
     """Kernels from ``kernel_source`` on the half plane of the run's p grid.
 
     Returns the index pairs (idx_i, idx_k) of ``_half_plane``, the offsets
-    x = p_i - p_j and the kernel at every pair (p_i, p_j).
+    x = p_i - p_j and the kernel at every pair (p_i, p_j). The ideal and
+    perturbative kernels take p' = p_i - k dp, dp = p_1 - p_0, so that their
+    x is the offset k dp the Fourier stage transforms at, up to one rounding
+    of p_i; at p' = p_j the linspace step, not dp, would set x, and the
+    phase error in x N <A> would grow with k.
     """
     app = run.apparatus
     p = app.p_grid()
     idx_i, idx_k = _half_plane(app)
     p1 = p[idx_i]
-    p2 = p[idx_i - idx_k]
+    x = p1 - p[idx_i - idx_k]
     if kernel_source == "exact":
-        kv = _grid_kernels(run, idx_k)
-    elif kernel_source == "perturbative":
+        return idx_i, idx_k, x, _grid_kernels(run, idx_k)
+    p2 = p1 - (p[1] - p[0]) * idx_k
+    if kernel_source == "perturbative":
         kv = perturbative_kernel(run, p1, p2)
     else:
         kv = np.exp(-1j * (p1 - p2) * run.n * run.bundle.expectation(run.observable))
-    return idx_i, idx_k, p1 - p2, kv
+    return idx_i, idx_k, x, kv
 
 
 @dataclass(frozen=True, eq=False)

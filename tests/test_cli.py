@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import damlab
 from damlab import pointer
 from damlab.cli import main
 
@@ -476,6 +478,61 @@ def test_module_entry_point_runs(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert "dissipative gap" in out.stdout
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def fresh_env(**blas):
+    """The test environment with src/ on the path and only the given BLAS
+    thread variables set."""
+    src = str(Path(damlab.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    path = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = src + (os.pathsep + path if path else "")
+    env.update(blas)
+    return env
+
+
+def blas_variables_after_import(env):
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import json, os, damlab; "
+         f"print(json.dumps({{k: os.environ.get(k) for k in {BLAS_THREAD_VARIABLES}}}))"],
+        capture_output=True, text=True, env=env,
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+def test_import_pins_one_blas_thread():
+    got = blas_variables_after_import(fresh_env())
+    assert got == {
+        "OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None
+    }
+
+
+@pytest.mark.parametrize("name, value", [("OMP_NUM_THREADS", "3"),
+                                         ("OPENBLAS_NUM_THREADS", "2")])
+def test_a_user_blas_thread_setting_wins(name, value):
+    got = blas_variables_after_import(fresh_env(**{name: value}))
+    assert got == {k: value if k == name else None for k in BLAS_THREAD_VARIABLES}
+
+
+def test_blas_threads_do_not_change_the_csv(tmp_path):
+    # driven_demo's tilted grid is 4x4 and depends on p + p': the pair path
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        run = subprocess.run(
+            [sys.executable, "-m", "damlab.cli", "dam-distribution",
+             "--config", str(CONFIG_DIR / "driven_demo.ini"), "--out", str(out)],
+            capture_output=True, text=True,
+            env=fresh_env(OPENBLAS_NUM_THREADS=threads),
+        )
+        assert run.returncode == 0, run.stderr
+        written.append((out / "dam_distribution.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_console_script_installed():

@@ -460,6 +460,8 @@ def test_kernel_benchmark_script_runs():
     script = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src_root + (os.pathsep + path if path else ""))
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(name, None)
     out = subprocess.run(
         [sys.executable, str(script), "--pairs", "64", "--repeats", "1"],
         capture_output=True,
@@ -467,6 +469,8 @@ def test_kernel_benchmark_script_runs():
         env=env,
     )
     assert out.returncode == 0, out.stderr
+    # damlab is imported before numpy and pins the CLI's one BLAS thread
+    assert out.stdout.startswith("BLAS threads: OPENBLAS_NUM_THREADS=1\n")
     assert "reduced dimension 4 -> 2, x-only True" in out.stdout
     assert "13041 exponentials: reduced dimension 4 -> 4, x-only False" in out.stdout
     # the driven table rows: the gap test refuses most pairs at T = 100 and

@@ -619,11 +619,20 @@ def test_offset_path_matches_pair_path(run):
         if isinstance(want, str):
             assert got == want
         else:
-            # relative to the peak: the pair path puts the phases of the
-            # ideal and perturbative kernels at p_i - p_j, which differ from
-            # the Fourier stage's offsets k dp by rounding
+            # relative to the peak: the two paths sum in different orders
             assert np.abs(got - want).max() <= 1e-13 * want.max()
     assert abs(delta - delta_pairs) <= 1e-13
+
+
+def test_pair_path_phases_sit_on_the_transform_offsets(monkeypatch):
+    # a wide, long run: a phase taken at p_i - p_j instead of the offset
+    # k dp the Fourier stage transforms at drifts by k N <A> |dp - step|,
+    # which moved the ideal mean by 1.4e-13 (the offset path: 3.6e-15)
+    run = gad_run(t=2000.0, n=50, sigma=0.18)
+    monkeypatch.setattr(pointer, "_x_only", lambda run, kernel_source: False)
+    dist = pointer_distribution(run, "ideal")
+    target = run.n * run.bundle.expectation(run.observable)
+    assert abs(dist.mean - target) <= 2e-14
 
 
 def test_driven_tilted_run_takes_the_pair_path(monkeypatch):
