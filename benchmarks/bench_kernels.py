@@ -38,7 +38,8 @@ import os
 import time
 from pathlib import Path
 
-import damlab  # before numpy: sets the BLAS threads as the CLI does
+# damlab before numpy: it sets the BLAS threads as the CLI does
+from damlab import _BLAS_THREAD_VARIABLES
 import numpy as np
 
 from damlab import _kernels_py, pointer
@@ -65,8 +66,6 @@ CASES = (
     ("two-site", product_gad_model(2), [0.3, 0.6], np.kron(EXCITED, np.eye(2)),
      200.0, (1.0,), 4),
 )
-# the variables OpenBLAS reads for its thread count, first one set wins
-BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # T of the driven table rows
 DRIVEN_TABLE_T = (100.0, 200.0, 500.0)
 
@@ -101,7 +100,7 @@ def main():
                     help="timing repeats, best-of is reported")
     args = ap.parse_args()
 
-    name = next(n for n in BLAS_THREAD_VARIABLES if n in os.environ)
+    name = next(n for n in _BLAS_THREAD_VARIABLES if n in os.environ)
     print(f"BLAS threads: {name}={os.environ[name]}")
     app = default_apparatus(0.1)
     idx_i, idx_k = _half_plane(app)

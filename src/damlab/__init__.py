@@ -25,10 +25,9 @@ import os
 
 __version__ = "0.1.0"
 
-if not any(
-    name in os.environ
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-):
+# the variables OpenBLAS reads for its thread count; the first one set wins
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if not any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .backend import KERNEL_BACKEND  # the first import that loads numpy
