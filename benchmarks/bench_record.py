@@ -35,7 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
-def parse_args(argv=None):
+def parse_args():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", help="revision of the parent commit")
     ap.add_argument("change", help="revision of the commit with the change")
@@ -46,7 +46,7 @@ def parse_args(argv=None):
     ap.add_argument("--seed", type=int, default=1, help="perfbench --seed (default 1)")
     ap.add_argument("--out", type=Path,
                     help="output file (default: the next free BENCH_<n>.json)")
-    args = ap.parse_args(argv)
+    args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     return args
@@ -158,8 +158,8 @@ def traced(runs):
     return out
 
 
-def main(argv=None):
-    args = parse_args(argv)
+def main():
+    args = parse_args()
     out_path = args.out or next_record()
     shas = {s: git("rev-parse", "--verify", f"{rev}^{{commit}}")
             for s, rev in zip(SIDES, (args.parent, args.change))}
