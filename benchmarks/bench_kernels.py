@@ -3,14 +3,16 @@
 The dense rows mirror the unreduced Pade path of the pointer-distribution
 computation: a half-plane of (p, p') pairs turned into batched matrix
 exponentials of the full coupled generator at the case's first N,
-contracted with vec(I) and vec(rho_ss). The grid rows time one full
-161-point half-plane through pointer._grid_kernels, which reads every
-kernel from the dominant-mode table of the run, built once per (model,
-theta, observable, T, apparatus) on the minimal realization of the N-free
-generator that pointer._kernel_modes cuts; they print the reduced
-dimension, whether the grid needed one kernel per offset x = p - p' only,
-and how many pairs the table refused to the Pade kernels (its rank-one
-guard or its gap test). Each grid row clears the table memo before every
+contracted with vec(I) and vec(rho_ss). The grid rows time the exact
+kernels of one 161-point grid through pointer._kernels, which reads them
+from the dominant-mode table of the run, built once per (model, theta,
+observable, T, apparatus) on the minimal realization of the N-free
+generator that pointer._kernel_modes cuts: one kernel per offset
+x = p - p' when the grid depends on x alone, else one per half-plane pair.
+The cost per pair is over the grid's 13,041 half-plane pairs either way.
+They print the reduced dimension, whether the grid is x-only, and how many
+pairs the table refused to the Pade kernels (its rank-one guard or its gap
+test). Each grid row clears the table memo before every
 repeat of the case's first N, so it times the table build; a second N of
 the same sweep reads the table the first one left. The driven table rows
 build the table of the driven grid at T = 100, 200 and 500, where the
@@ -47,9 +49,8 @@ from damlab.models import gad_model, product_gad_model
 from damlab.pointer import (
     DamRun,
     _generator_terms,
-    _grid_kernels,
-    _half_plane,
     _kernel_modes,
+    _kernels,
     default_apparatus,
 )
 from damlab.scenario import load_model_file
@@ -103,7 +104,7 @@ def main():
     name = next(n for n in _BLAS_THREAD_VARIABLES if n in os.environ)
     print(f"BLAS threads: {name}={os.environ[name]}")
     app = default_apparatus(0.1)
-    idx_i, idx_k = _half_plane(app)
+    half_plane = app.p_points * (app.p_points + 1) // 2
     for label, model, theta, a, t, sweep, share in CASES:
         run = DamRun(model, theta, a, t=t, n=sweep[0], apparatus=app)
         pairs = args.pairs // share
@@ -116,7 +117,7 @@ def main():
         pointer._MODE_MEMO.clear()
         mats, x_only, (lam, _) = _kernel_modes(run)
         exps = lam.size
-        print(f"{label} grid, {idx_i.size} pairs in {exps} exponentials: "
+        print(f"{label} grid, {half_plane} pairs in {exps} exponentials: "
               f"reduced dimension {m} -> {mats[0].shape[0]}, x-only {x_only}; "
               f"refused {int(np.isnan(lam).sum())}")
         for k, n in enumerate(sweep):
@@ -125,10 +126,10 @@ def main():
             # the sweep's first N builds the mode table, later ones reuse it
             setup = pointer._MODE_MEMO.clear if k == 0 else lambda: None
             elapsed = best_time(
-                lambda: _grid_kernels(run_n, idx_k), args.repeats, setup
+                lambda: _kernels(run_n, "exact"), args.repeats, setup
             )
             step = "table built" if k == 0 else "table reused"
-            print(f"  {elapsed * 1e3:9.1f} ms  ({elapsed / idx_i.size * 1e6:7.2f} "
+            print(f"  {elapsed * 1e3:9.1f} ms  ({elapsed / half_plane * 1e6:7.2f} "
                   f"us/pair)  N = {n:g}, {step}")
 
     for t in DRIVEN_TABLE_T:

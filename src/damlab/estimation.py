@@ -94,12 +94,25 @@ LINK_SEEDS = 401
 LINK_MARGIN_REL = 1e-6
 
 
+def _steady_response(model, observables, thetas):
+    """f (n, M) and J (n, M, M) of f_j = tr(A_j rho_ss) at thetas (n, M).
+
+    rho_ss is the models' bordered solve with trace 1, batched over thetas;
+    J_jk = df_j / dtheta_k is its linear response, the same solve with the
+    right-hand sides -L_k rho_ss, L_k = dL / dtheta_k, and trace 0.
+    """
+    lmats = model.assemble(model.rates(thetas))
+    a_rows = np.stack([vectorize(aj.T) for aj in observables], axis=1)
+    rho = _bordered_solve(lmats, np.zeros(lmats.shape[:2] + (1,)), 1.0)
+    rhs = -np.concatenate([lk @ rho for lk in model.liouvillian_derivatives()], axis=-1)
+    jac = (np.swapaxes(_bordered_solve(lmats, rhs, 0.0), 1, 2) @ a_rows).real
+    return (rho[..., 0] @ a_rows).real, np.swapaxes(jac, 1, 2)
+
+
 def steady_expectation_link(model, observables):
     """Exact link theta -> f_j = tr(A_j rho_ss(theta)), one A_j per parameter.
 
-    rho_ss is the models' bordered solve with trace 1, batched over thetas;
-    J_jk = df_j / dtheta_k is its linear response, the same solve with the M
-    right-hand sides -L_k rho_ss, L_k = dL / dtheta_k, and trace 0. The seeds
+    f and its Jacobian J come from ``_steady_response``. The seeds
     pass the models' zero-mode/gap rule, and det J must keep one sign, clear
     of rounding, over them, else the observables cannot identify theta. A
     reading starts at the seed nearest in f, takes a linearized step on its
@@ -112,28 +125,15 @@ def steady_expectation_link(model, observables):
     a = np.asarray(observables, dtype=complex)
     if a.ndim != 3 or len(a) != m:
         raise ValueError(f"model {model.name!r} needs {m} observables, one each")
-    derivs = model.liouvillian_derivatives()
     dom_lo, dom_hi = np.array(model.param_domain).T
     margin = LINK_MARGIN_REL * (dom_hi - dom_lo)
     lo, hi = dom_lo + margin, dom_hi - margin
-    a_rows = np.stack([vectorize(aj.T) for aj in a], axis=1)  # vec(rho) -> f
     tol = NEWTON_RTOL * max(np.linalg.norm(aj, 2) for aj in a)  # ||A_j|| >= |f_j|
-
-    def solve(lmats):
-        """f (n, M) and J (n, M, M) for a stack of Liouvillians."""
-        rho = _bordered_solve(lmats, np.zeros(lmats.shape[:2] + (1,)), 1.0)
-        rhs = -np.concatenate([lk @ rho for lk in derivs], axis=-1)
-        jac = (np.swapaxes(_bordered_solve(lmats, rhs, 0.0), 1, 2) @ a_rows).real
-        return (rho[..., 0] @ a_rows).real, np.swapaxes(jac, 1, 2)
-
-    def evaluate(th):
-        return solve(model.assemble(model.rates(th)))
 
     axes = [np.linspace(l, h, round(LINK_SEEDS ** (1 / m))) for l, h in zip(lo, hi)]
     seeds = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
-    lmats = model.assemble(model.rates(seeds))
-    _steady_gaps(lmats, model.name, seeds)
-    f_seed, j_seed = solve(lmats)
+    _steady_gaps(model.assemble(model.rates(seeds)), model.name, seeds)
+    f_seed, j_seed = _steady_response(model, a, seeds)
     # det J within STEADY_TOL of its Hadamard bound, the product of the row
     # norms, is a rounded zero
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -149,7 +149,7 @@ def steady_expectation_link(model, observables):
         th = np.asarray(th, dtype=float)
         if np.any((th <= dom_lo) | (th >= dom_hi)):
             raise ValueError(f"theta {th.tolist()} outside {model.name!r}'s domain")
-        return evaluate(th.reshape(-1, m))[0].reshape(th.shape)
+        return _steady_response(model, a, th.reshape(-1, m))[0].reshape(th.shape)
 
     def inverse(rows):
         y = np.asarray(rows, dtype=float).reshape(-1, m)
@@ -165,7 +165,7 @@ def steady_expectation_link(model, observables):
         push = th - step
         todo = np.arange(len(y))
         for _ in range(NEWTON_MAX_STEPS + 1):
-            f, jac = evaluate(th[todo])
+            f, jac = _steady_response(model, a, th[todo])
             r = f - y[todo]
             done = np.abs(r).max(axis=1) <= tol
             step = th[todo] - np.linalg.solve(jac, r[..., None])[..., 0]
@@ -185,7 +185,7 @@ def steady_expectation_link(model, observables):
         )
 
     def jacobian_inverse(theta):
-        return np.linalg.inv(evaluate(np.reshape(theta, (1, m)))[1][0])
+        return np.linalg.inv(_steady_response(model, a, np.reshape(theta, (1, m)))[1][0])
 
     return LinkFunction(
         m=m,

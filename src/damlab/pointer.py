@@ -20,13 +20,16 @@ the other half follows from the conjugation identity K(p', p) = conj K(p, p').
 Grids exponentiate the generator on its minimal realization: the subspace
 reachable from vec(rho_ss) and observable from vec(I). Where A X = X A on
 that subspace, K depends on x alone and a grid needs one exponential per
-offset. Such a kernel also takes the offset path: with R_k = sum_i phi(p_i)
-phi(p_i - x_k), one correlation of phi on the p grid, C(x_k) = dp K(x_k) R_k,
-and Delta^2 of ``nonadiabaticity`` is a sum over offsets as well, so no
-half-plane pair is formed. The ideal phase is x-only, and so is the
-perturbative kernel when Im c is exactly 0. Every other kernel is summed
-pair by pair. Both grids are uniform, so the final transform onto the q grid
-is a chirp-z transform, computed by Bluestein's algorithm with one FFT
+offset; so does the ideal phase, and the perturbative kernel when Im c is
+exactly 0 (``_x_only``). ``_grid_pairs`` is the one pair definition: (k dp,
+0) per offset, or (p_i, p_i - k dp) per half-plane pair, so x is the
+Fourier stage's offset k dp up to one rounding of p_i. ``_kernels`` gives
+every source's kernels at those pairs, and ``_offset_sums`` reduces them to
+S_k = sum_i f_i f_{i-k} K_ik per offset, by one correlation of f on the
+offsets or one bincount over the pairs: ``pointer_distribution`` takes
+C(x_k) = dp S_k with f = phi, ``nonadiabaticity`` Delta^2 = S_0 + 2
+sum_{k>0} S_k. Both grids are uniform, so the final transform onto the q
+grid is a chirp-z transform, computed by Bluestein's algorithm with one FFT
 convolution.
 
 Only the factor N depends on N: K = w . exp(N G) . v with the N-free
@@ -221,17 +224,17 @@ def _half_plane(app):
     return idx_i, idx_k
 
 
-def _phi(app, p):
-    sp = app.sigma_p
-    return (2.0 * np.pi * sp * sp) ** -0.25 * np.exp(-(p * p) / (4.0 * sp * sp))
-
-
-def _check_tail(app):
+def _phi(app):
+    """phi on the p grid and the step dp; refuses a grid that cuts off more
+    than TAIL_MASS_LIMIT of the Gaussian."""
     tail = app.tail_mass()
     if tail > TAIL_MASS_LIMIT:
         raise ValueError(
             f"p grid too narrow: Gaussian tail mass {tail:.3g} exceeds {TAIL_MASS_LIMIT}"
         )
+    p, sp = app.p_grid(), app.sigma_p
+    phi = (2.0 * np.pi * sp * sp) ** -0.25 * np.exp(-(p * p) / (4.0 * sp * sp))
+    return phi, p[1] - p[0]
 
 
 def _invariant_basis(start, generators):
@@ -295,21 +298,20 @@ def _minimal_realization(base, lin_p, lin_pp, w, v):
     return reduced, bool(drift <= REDUCTION_RTOL * np.linalg.norm(lin_p))
 
 
-def _offsets(app):
-    """The offsets x_k = k dp, k = 0..p_points-1, of the p grid."""
-    p = app.p_grid()
-    return (p[1] - p[0]) * np.arange(p.size)
-
-
 def _grid_pairs(app, x_only):
-    """The (p, pp) pairs an exact grid computes: every half-plane pair, or
-    one pair (k dp, 0) per offset when the kernel depends on p - pp alone."""
-    if x_only:
-        x = _offsets(app)
-        return x, np.zeros_like(x)
+    """(p, pp, idx) of a grid: one pair (k dp, 0) per offset k and idx None
+    when the kernel depends on p - pp alone, else every half-plane pair
+    (p_i, p_i - k dp) and idx the (idx_i, idx_k) of ``_half_plane``. So x is
+    the Fourier stage's offset k dp, dp = p_1 - p_0, up to one rounding of
+    p_i; at pp = p_j the linspace step would set x, and the phase error in
+    x N <A> would grow with k."""
     p = app.p_grid()
+    dp = p[1] - p[0]
+    if x_only:
+        x = dp * np.arange(p.size)
+        return x, np.zeros_like(x), None
     idx_i, idx_k = _half_plane(app)
-    return p[idx_i], p[idx_i - idx_k]
+    return p[idx_i], p[idx_i] - dp * idx_k, (idx_i, idx_k)
 
 
 # (model, theta, observable, T, apparatus) -> (realization, x_only, table),
@@ -331,40 +333,12 @@ def _kernel_modes(run):
     if entry is None:
         mats, x_only = _minimal_realization(*_generator_terms(run))
         base, lin_p, lin_pp, w, v = mats
-        pairs = _grid_pairs(run.apparatus, x_only)
-        entry = mats, x_only, kernels.mode_table(base, lin_p, lin_pp, *pairs, w, v)
+        p, pp, _ = _grid_pairs(run.apparatus, x_only)
+        entry = mats, x_only, kernels.mode_table(base, lin_p, lin_pp, p, pp, w, v)
         if len(_MODE_MEMO) >= _MODE_MEMO_SIZE:
             del _MODE_MEMO[next(iter(_MODE_MEMO))]
     _MODE_MEMO[key] = entry
     return entry
-
-
-def _table_kernels(run):
-    """Exact kernels K_N at the pairs of the run's mode table, and x_only:
-    one kernel per offset when the grid is x-only, else one per half-plane
-    pair.
-
-    Pairs with a dominant mode take c exp(N lam) from the memoized table; the
-    pairs it refuses go through the Pade ``trace_kernels`` at N.
-    """
-    (base, lin_p, lin_pp, w, v), x_only, (lam, c) = _kernel_modes(run)
-    n = run.n
-    kv = np.exp(n * lam)
-    kv *= c
-    refused = np.flatnonzero(np.isnan(lam))
-    if refused.size:
-        p1, p2 = (x[refused] for x in _grid_pairs(run.apparatus, x_only))
-        kv[refused] = kernels.trace_kernels(
-            n * base, n * lin_p, n * lin_pp, p1, p2, w, v
-        )
-    return kv, x_only
-
-
-def _grid_kernels(run, idx_k):
-    """Exact kernels K_N at the run's half-plane pairs, of offsets idx_k; an
-    x-only grid's kernels are scattered from its offsets with idx_k."""
-    kv, x_only = _table_kernels(run)
-    return kv[idx_k] if x_only else kv
 
 
 def _x_only(run, kernel_source):
@@ -379,45 +353,52 @@ def _x_only(run, kernel_source):
     return True
 
 
-def _offset_kernels(run, kernel_source):
-    """Kernels from ``kernel_source`` at the offsets x_k = k dp of an x-only
-    run; ``_x_only`` must hold."""
-    if kernel_source == "exact":
-        return _table_kernels(run)[0]
-    x = _offsets(run.apparatus)
-    if kernel_source == "perturbative":
-        return perturbative_kernel(run, x, np.zeros_like(x))
-    return np.exp(-1j * x * run.n * run.bundle.expectation(run.observable))
+def _kernels(run, kernel_source):
+    """(p, pp, K, idx): the run's kernels from ``kernel_source`` at the pairs
+    of ``_grid_pairs``, one per offset when ``_x_only`` holds (idx None),
+    else one per half-plane pair (idx = (idx_i, idx_k)).
 
-
-def _offset_sums(f):
-    """R_k = sum_i f_i f_{i-k} for every offset k = 0..f.size-1."""
-    return np.correlate(f, f, "full")[f.size - 1:]
-
-
-def _half_plane_kernels(run, kernel_source):
-    """Kernels from ``kernel_source`` on the half plane of the run's p grid.
-
-    Returns the index pairs (idx_i, idx_k) of ``_half_plane``, the offsets
-    x = p_i - p_j and the kernel at every pair (p_i, p_j). The ideal and
-    perturbative kernels take p' = p_i - k dp, dp = p_1 - p_0, so that their
-    x is the offset k dp the Fourier stage transforms at, up to one rounding
-    of p_i; at p' = p_j the linspace step, not dp, would set x, and the
-    phase error in x N <A> would grow with k.
+    The exact source reads K_N = c exp(N lam) from the memoized mode table;
+    the pairs it refuses go through the Pade ``trace_kernels`` at N. With the
+    pair path forced on an x-only table, its offsets are scattered with idx_k.
     """
-    app = run.apparatus
-    p = app.p_grid()
-    idx_i, idx_k = _half_plane(app)
-    p1 = p[idx_i]
-    x = p1 - p[idx_i - idx_k]
-    if kernel_source == "exact":
-        return idx_i, idx_k, x, _grid_kernels(run, idx_k)
-    p2 = p1 - (p[1] - p[0]) * idx_k
+    x_only = _x_only(run, kernel_source)
+    p, pp, idx = _grid_pairs(run.apparatus, x_only)
     if kernel_source == "perturbative":
-        kv = perturbative_kernel(run, p1, p2)
-    else:
-        kv = np.exp(-1j * (p1 - p2) * run.n * run.bundle.expectation(run.observable))
-    return idx_i, idx_k, x, kv
+        return p, pp, perturbative_kernel(run, p, pp), idx
+    if kernel_source == "ideal":
+        mean_a = run.bundle.expectation(run.observable)
+        return p, pp, np.exp(-1j * (p - pp) * run.n * mean_a), idx
+    (base, lin_p, lin_pp, w, v), table_x_only, (lam, c) = _kernel_modes(run)
+    n = run.n
+    kv = np.exp(n * lam)
+    kv *= c
+    # the pair path forced on an x-only table, as the test oracle
+    forced = table_x_only and not x_only
+    refused = np.flatnonzero(np.isnan(lam))
+    if refused.size:
+        tp, tpp, _ = _grid_pairs(run.apparatus, True) if forced else (p, pp, idx)
+        kv[refused] = kernels.trace_kernels(
+            n * base, n * lin_p, n * lin_pp, tp[refused], tpp[refused], w, v
+        )
+    return p, pp, (kv[idx[1]] if forced else kv), idx
+
+
+def _offset_sums(f, values, idx, scale=1.0):
+    """S_k = scale sum_i f_i f_{i-k} values_ik for every offset k = 0..f.size-1.
+
+    values holds one entry per offset (idx None): then S_k = scale values_k
+    R_k with R_k = sum_i f_i f_{i-k}, one correlation of f. Else it holds
+    one entry per half-plane pair (idx_i, idx_k), summed per offset.
+    """
+    if idx is None:
+        return scale * values * np.correlate(f, f, "full")[f.size - 1:]
+    idx_i, idx_k = idx
+    contrib = f[idx_i] * f[idx_i - idx_k] * values
+    return (
+        np.bincount(idx_k, weights=contrib.real, minlength=f.size)
+        + 1j * np.bincount(idx_k, weights=contrib.imag, minlength=f.size)
+    ) * scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -492,20 +473,9 @@ def pointer_distribution(run, kernel_source="exact"):
     if kernel_source not in ("exact", "perturbative", "ideal"):
         raise ValueError(f"unknown kernel source {kernel_source!r}")
     app = run.apparatus
-    _check_tail(app)
-    p = app.p_grid()
-    dp = p[1] - p[0]
-    phi = _phi(app, p)
-    if _x_only(run, kernel_source):
-        c_half = dp * _offset_kernels(run, kernel_source) * _offset_sums(phi)
-    else:
-        idx_i, idx_k, _, kv = _half_plane_kernels(run, kernel_source)
-        contrib = phi[idx_i] * phi[idx_i - idx_k] * kv
-        k = app.p_points
-        c_half = (
-            np.bincount(idx_k, weights=contrib.real, minlength=k)
-            + 1j * np.bincount(idx_k, weights=contrib.imag, minlength=k)
-        ) * dp
+    phi, dp = _phi(app)
+    _, _, kv, idx = _kernels(run, kernel_source)
+    c_half = _offset_sums(phi, kv, idx, scale=dp)
     q = app.q_grid(center=run.n * run.bundle.expectation(run.observable))
     step = (q[-1] - q[0]) / (q.size - 1)
     density = (dp / (2.0 * np.pi)) * _hermitian_chirp_sum(
@@ -562,22 +532,14 @@ def nonadiabaticity(run):
     """
     if run.n != 1:
         raise ValueError("non-adiabaticity is defined for N=1 runs")
-    app = run.apparatus
-    _check_tail(app)
-    p = app.p_grid()
-    w2 = _phi(app, p) ** 2 * (p[1] - p[0])
+    phi, dp = _phi(run.apparatus)
     mean_a = run.bundle.expectation(run.observable)
-    if _x_only(run, "exact"):
-        x = _offsets(app)
-        kv = _offset_kernels(run, "exact")
-        offset = np.arange(x.size)
-        weight = _offset_sums(w2)
-    else:
-        idx_i, offset, x, kv = _half_plane_kernels(run, "exact")
-        weight = w2[idx_i] * w2[idx_i - offset]
-    dev2 = np.abs(kv - np.exp(-1j * x * mean_a)) ** 2
-    mult = np.where(offset == 0, 1.0, 2.0)
-    return math.sqrt(float(np.sum(mult * weight * dev2)))
+    p, pp, kv, idx = _kernels(run, "exact")
+    dev2 = np.abs(kv - np.exp(-1j * (p - pp) * mean_a)) ** 2
+    # Delta^2 = S_0 + 2 sum_{k>0} S_k with f_i = phi_i^2 dp
+    s = _offset_sums(phi**2 * dp, dev2, idx).real
+    s[1:] *= 2.0
+    return math.sqrt(float(np.sum(s)))
 
 
 def sample_pointer(dist, seed, count):

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimation import (
+    _steady_response,
     conventional_povm_error,
     identity_link,
     ideal_error_floor,
@@ -38,7 +39,6 @@ from .estimation import (
     steady_expectation_link,
 )
 from .models import STEADY_TOL, dissipation_coefficient, is_gad
-from .operators import devectorize, vectorize
 from .pointer import nonadiabaticity
 from .scenario import scenario_runs
 
@@ -177,19 +177,15 @@ def _check_identity_link(scn, runs):
     """Raise ValueError unless the identity link holds at the runs' theta.
 
     The identity link reads each expectation tr(A_j rho_ss) as theta_j. So
-    tr(A_j rho_ss) must be theta_j and the linear-response Jacobian
-    d tr(A_j rho_ss) / d theta_k = -tr(A_j S(L_k rho_ss)), L_k = dL / d theta_k,
-    the identity, both to STEADY_TOL, the accuracy of the steady state. The
-    check reads the first run's bundle, which that run's readings use as
-    well, so it builds no steady state of its own.
+    tr(A_j rho_ss) must be theta_j and its linear-response Jacobian the
+    identity, both to STEADY_TOL, the accuracy of the steady state; both
+    come from the steady link's solve, once the first run's bundle has
+    refused a steady state that is not unique.
     """
-    bundle, theta = runs[0].bundle, runs[0].theta
-    drho = [
-        -bundle.s_apply(devectorize(lk @ vectorize(bundle.rho_ss), bundle.dim))
-        for lk in scn.model.liouvillian_derivatives()
-    ]
-    value = np.array([bundle.expectation(run.observable) for run in runs])
-    jac = np.array([[np.trace(run.observable @ d).real for d in drho] for run in runs])
+    runs[0].bundle
+    theta = runs[0].theta
+    f, j = _steady_response(scn.model, [run.observable for run in runs], theta[None])
+    value, jac = f[0], j[0]
     off = max(np.abs(value - theta).max(), np.abs(jac - np.eye(len(runs))).max())
     if not off <= STEADY_TOL:
         names = ", ".join(label for label, _ in scn.observables)

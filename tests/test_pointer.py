@@ -25,7 +25,6 @@ from damlab.pointer import (
     ApparatusConfig,
     DamRun,
     _generator_terms,
-    _grid_kernels,
     _half_plane,
     _hermitian_chirp_sum,
     _minimal_realization,
@@ -482,6 +481,14 @@ def random_runs(draw):
     return run, population
 
 
+def _pair_path_kernels(run):
+    """The run's exact (p, p', K, idx) with the pair path forced, also on an
+    x-only grid."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pointer, "_x_only", lambda run, kernel_source: False)
+        return pointer._kernels(run, "exact")
+
+
 def _first_of_offset(idx_k, k):
     """Index of the first half-plane pair of every offset 0..k-1."""
     first = np.empty(k, dtype=np.int64)
@@ -498,10 +505,7 @@ def test_reduced_grid_matches_dense_oracle(run_and_kind):
     except ValueError:
         reject()
     app = run.apparatus
-    p = app.p_grid()
-    idx_i, idx_k = _half_plane(app)
-    p1, p2 = p[idx_i], p[idx_i - idx_k]
-    kv = _grid_kernels(run, idx_k)
+    p1, p2, kv, (idx_i, idx_k) = _pair_path_kernels(run)
     oracle = np.array([trace_kernel(run, x, y) for x, y in zip(p1, p2)])
     assert np.abs(kv - oracle).max() <= 1e-12
 
@@ -539,9 +543,7 @@ def test_mode_table_matches_dense_oracle():
             run.bundle
         except ValueError:
             reject()
-        p = run.apparatus.p_grid()
-        idx_i, idx_k = _half_plane(run.apparatus)
-        p1, p2 = p[idx_i], p[idx_i - idx_k]
+        p1, p2, _, _ = _pair_path_kernels(run)
         _, x_only, (lam, _) = pointer._kernel_modes(run)
         mode = ~np.isnan(lam)
         served["mode"] += int(mode.sum())
@@ -553,7 +555,7 @@ def test_mode_table_matches_dense_oracle():
         )
         for n in (1, 2, 5, 10, 50):
             run_n = dataclasses.replace(run, n=n)
-            kv = _grid_kernels(run_n, idx_k)
+            kv = _pair_path_kernels(run_n)[2]
             oracle = np.array([trace_kernel(run_n, x, y) for x, y in zip(p1, p2)])
             assert np.abs(kv - oracle).max() <= max(1e-12, 4 * eps * n * g_norm)
 
@@ -633,6 +635,33 @@ def test_pair_path_phases_sit_on_the_transform_offsets(monkeypatch):
     dist = pointer_distribution(run, "ideal")
     target = run.n * run.bundle.expectation(run.observable)
     assert abs(dist.mean - target) <= 2e-14
+
+
+def test_every_pair_sits_on_its_offset(monkeypatch):
+    # at sigma = 0.18 the linspace step is not dp = p_1 - p_0, and a pair
+    # (p_i, p_j) missed its offset k dp by up to 54 ulp of p_halfwidth; the
+    # table's pairs and the closed forms' pairs are (p_i, p_i - k dp)
+    model, observables = load_model_file(CONFIGS / "driven_gad.json")
+    app = default_apparatus(0.18)
+    run = DamRun(model, [0.3], observables["tilted"], t=500.0, n=5.0, apparatus=app)
+    monkeypatch.setattr(pointer, "_MODE_MEMO", {})
+    tables = []
+    mode_table = kernels.mode_table
+    monkeypatch.setattr(
+        kernels, "mode_table", lambda *args: tables.append(args[3:5]) or mode_table(*args)
+    )
+    p = app.p_grid()
+    dp = p[1] - p[0]
+    _, idx_k = _half_plane(app)
+    ulp = np.spacing(app.p_halfwidth)
+    _, _, _, idx = pointer._kernels(run, "exact")
+    assert np.array_equal(idx[1], idx_k)
+    [(p1, p2)] = tables
+    assert p1.size == idx_k.size
+    assert np.abs((p1 - p2) - idx_k * dp).max() <= ulp
+    p1, p2, _, (_, k) = pointer._kernels(run, "perturbative")
+    assert np.array_equal(k, idx_k)
+    assert np.abs((p1 - p2) - idx_k * dp).max() <= ulp
 
 
 def test_driven_tilted_run_takes_the_pair_path(monkeypatch):
