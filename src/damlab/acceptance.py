@@ -14,11 +14,11 @@ pinned tolerances (module constants, deliberately not configurable):
      9  multiparameter              two-qubit error formula and MC
     10  determinism-reduction       M=1 formula reduction, byte-stable CSV
 
-Operating points (theta, sigma, T grids, trial counts, seed) live in
-VerifyParams and may be overridden from a scenario's [verify] section; that
-is how the tamper test drives a check into honest failure. Metric values
-written to the report CSV are deterministic for a fixed seed (runtimes are
-reported as nan there and appear only in the JSON/console output).
+Operating points (theta, sigma, T grids, trial counts) are the defaults of
+VerifyParams, pinned like the tolerances; a scenario sets only the seed and
+the checks to run. Tests move a point with dataclasses.replace to drive a
+check into honest failure. Report CSV metric values are deterministic for a
+fixed seed (runtimes are nan there and appear only in JSON/console output).
 """
 
 import math
@@ -47,7 +47,7 @@ from .models import (
     steady_state_bundle,
 )
 from .pointer import DamRun, default_apparatus, nonadiabaticity, pointer_distribution, sample_pointer
-from .scenario import VerifyParams, load_scenario
+from .scenario import load_scenario
 from .sweeps import nonadiabaticity_sweep, sweep_csv, write_csv
 
 __all__ = [
@@ -85,6 +85,40 @@ BIAS_Z_LIMIT = 3.0
 REDUCTION_TOL = 0.0
 
 STEADY_THETAS = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+
+@dataclass(frozen=True)
+class VerifyParams:
+    """The suite's operating points, pinned; only the seed follows the scenario."""
+
+    seed: int = 20260817
+    theta: float = 0.3
+    sigma: float = 0.1
+    pointer_t: float = 200.0
+    povm_n: int = 10_000
+    povm_trials: int = 2000
+    pseudo_draws: int = 200
+    nonadiabatic_sigma: float = 0.2
+    nonadiabatic_ts: tuple = (100.0, 200.0, 400.0)
+    nonadiabatic_t_long: float = 1e5
+    scaling_theta: float = 0.5
+    scaling_sigma: float = 0.18
+    scaling_t: float = 2000.0
+    scaling_ns: tuple = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
+    scaling_trials: int = 4000
+    pert_t: float = 500.0
+    pert_n: float = 5.0
+    qfi_thetas: tuple = (0.1, 0.3, 0.5, 0.7, 0.9)
+    qfi_ts: tuple = (0.2, 0.5, 1.0, 2.0, 5.0)
+    qfi_bound_theta: float = 0.3
+    qfi_bound_t: float = 1.0
+    qfi_probes: int = 20
+    qfi_product_probes: int = 5
+    multi_theta: tuple = (0.2, 0.6)
+    multi_sigma: float = 0.1
+    multi_n: float = 10.0
+    multi_t: float = 500.0
+    multi_trials: int = 2000
 
 
 @dataclass(frozen=True)
@@ -359,6 +393,8 @@ _RUNTIME_LIMITS = {1: POVM_RUNTIME_S, 4: POINTER_RUNTIME_S}
 def run_checks(params, checks=None):
     """Run the selected checks (all by default) and collect their reports."""
     selected = sorted(checks) if checks else sorted(_CHECKS)
+    if len(set(selected)) != len(selected):
+        raise ValueError(f"repeated check numbers in {list(checks)}")
     results = []
     for num in selected:
         if num not in _CHECKS:

@@ -18,11 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .acceptance import run_checks, write_report
+from .acceptance import VerifyParams, run_checks, write_report
 from .backend import KERNEL_BACKEND
 from .estimation import qfi_random_probe_bounds
-from .models import _bordered_solve, dissipation_coefficient, is_gad, steady_state_bundle
-from .operators import vectorize
+from .models import dissipation_coefficient, is_gad, steady_state_bundle
 from .pointer import pointer_distribution
 from .scenario import ScenarioError, load_scenario, scenario_runs
 from .svgplot import LineChart
@@ -89,9 +88,10 @@ def cmd_steady(scn, args, out_dir):
         coeffs[label] = c
         rows.append((f"backaction_re[{label}]", "", "", c.real))
         rows.append((f"backaction_im[{label}]", "", "", c.imag))
-    # S on the basis: the bordered solve of L S = Q with tr S = 0
-    q = np.eye(d * d) - np.outer(vectorize(bundle.rho_ss), vectorize(np.eye(d)))
-    s_mat = _bordered_solve(bundle.liouvillian, q, 0.0)
+    # S on the basis operators E_k, vec(E_k) = e_k: L S = Q with tr S = 0
+    basis = np.eye(d * d).reshape(d * d, d, d).transpose(0, 2, 1)
+    s_mat = bundle.s_apply(basis).transpose(0, 2, 1).reshape(d * d, d * d).T
+    q = np.eye(d * d) - np.outer(bundle.rho_ss.T, np.eye(d))  # vec(rho) vec(I)^T
     residual = float(np.abs(bundle.liouvillian @ s_mat - q).max())
     rows.append(("pseudoinverse_residual", "", "", residual))
     csv_path = out_dir / "steady.csv"
@@ -303,7 +303,7 @@ def cmd_qfi_bound(scn, args, out_dir):
 
 
 def cmd_verify(scn, args, out_dir):
-    results = run_checks(scn.verify, checks=scn.checks)
+    results = run_checks(VerifyParams(seed=scn.seed), checks=scn.checks)
     csv_path = out_dir / "verify_report.csv"
     write_report(results, csv_path)
     payload = []

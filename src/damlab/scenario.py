@@ -25,9 +25,9 @@ optionally [sweep] and [verify]:
     values = 1, 2, 5, 10
 
 The keys above, plus [apparatus] p_halfwidth/q_halfwidth/q_points and [run]
-n_over_t, are the only ones accepted; [verify] takes checks (a subset of the
-ten) and the VerifyParams fields, each parsed like its default: a list of
-floats, an int or a float. Every value is parsed when the file loads,
+n_over_t, are the only ones accepted; [verify] takes only checks, a subset of
+the ten with no repeats (the suite's operating points are constants in
+acceptance, like its tolerances). Every value is parsed when the file loads,
 whatever the command: an unknown section or key, or a value that does not
 parse, is an error, not a silently ignored typo.
 
@@ -64,7 +64,6 @@ from .models import (
 from .pointer import ApparatusConfig, DamRun, default_apparatus
 
 __all__ = [
-    "VerifyParams",
     "Scenario",
     "ScenarioError",
     "load_scenario",
@@ -259,41 +258,6 @@ def _resolve_observable(spec, model, named, path):
 
 
 @dataclass(frozen=True)
-class VerifyParams:
-    """Operating points of the verify suite; its tolerances are constants in
-    acceptance, deliberately not settable here."""
-
-    seed: int = 20260817
-    theta: float = 0.3
-    sigma: float = 0.1
-    pointer_t: float = 200.0
-    povm_n: int = 10_000
-    povm_trials: int = 2000
-    pseudo_draws: int = 200
-    nonadiabatic_sigma: float = 0.2
-    nonadiabatic_ts: tuple = (100.0, 200.0, 400.0)
-    nonadiabatic_t_long: float = 1e5
-    scaling_theta: float = 0.5
-    scaling_sigma: float = 0.18
-    scaling_t: float = 2000.0
-    scaling_ns: tuple = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
-    scaling_trials: int = 4000
-    pert_t: float = 500.0
-    pert_n: float = 5.0
-    qfi_thetas: tuple = (0.1, 0.3, 0.5, 0.7, 0.9)
-    qfi_ts: tuple = (0.2, 0.5, 1.0, 2.0, 5.0)
-    qfi_bound_theta: float = 0.3
-    qfi_bound_t: float = 1.0
-    qfi_probes: int = 20
-    qfi_product_probes: int = 5
-    multi_theta: tuple = (0.2, 0.6)
-    multi_sigma: float = 0.1
-    multi_n: float = 10.0
-    multi_t: float = 500.0
-    multi_trials: int = 2000
-
-
-@dataclass(frozen=True)
 class Scenario:
     """Parsed scenario: model, operating point, apparatus and execution keys."""
 
@@ -313,7 +277,6 @@ class Scenario:
     sweep_values: Optional[tuple]
     out_dir: str
     checks: Optional[tuple]
-    verify: VerifyParams
 
 
 def _float(raw):
@@ -346,7 +309,7 @@ def _ints(raw):
 
 def _field_parsers(cls):
     """Parser per field of a dataclass, by the field's type."""
-    parsers = {tuple: _floats, int: int, float: _float}
+    parsers = {int: int, float: _float}
     return {f.name: parsers[f.type] for f in fields(cls)}
 
 
@@ -357,7 +320,7 @@ _SCHEMA = {
     "run": {"t": _float, "n": _float, "n_over_t": _float, "link": str, "trials": int,
             "seed": int, "out_dir": str},
     "sweep": {"axis": str, "values": _floats},
-    "verify": {"checks": _ints, **_field_parsers(VerifyParams)},
+    "verify": {"checks": _ints},
 }
 
 
@@ -476,9 +439,11 @@ def load_scenario(path, seed=None, out_dir=None):
     if "n_over_t" in run and sweep_axis != "T":
         _fail(path, "[run] n_over_t applies to T sweeps only ([sweep] axis = T)")
 
-    checks = parsed["verify"].pop("checks", None)
+    checks = parsed["verify"].get("checks")
     if checks is not None and not (checks and all(1 <= c <= 10 for c in checks)):
         _fail(path, "[verify] checks must list numbers in 1..10")
+    if checks is not None and len(set(checks)) != len(checks):
+        _fail(path, "[verify] checks must be distinct")
 
     if t <= 0:
         _fail(path, f"[run] t must be positive, got {t!r}")
@@ -502,8 +467,6 @@ def load_scenario(path, seed=None, out_dir=None):
         sweep_values=sweep_values,
         out_dir=str(out_dir),
         checks=checks,
-        # a [verify] seed wins over --seed and [run] seed
-        verify=VerifyParams(**{"seed": int(seed), **parsed["verify"]}),
     )
 
 

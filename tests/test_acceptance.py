@@ -6,6 +6,7 @@ anchors and pinned tolerances, then asserts each check individually so
 lists every metric that missed its threshold.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,20 @@ def test_c10_determinism_reduction(suite):
     _require(suite, 10)
 
 
+def test_moved_operating_point_fails_its_check_by_name():
+    results = run_checks(replace(VerifyParams(), nonadiabatic_t_long=5.0), checks=[5])
+    assert [(res.number, res.name, res.passed) for res in results] == [
+        (5, "nonadiabaticity-scaling", False)
+    ]
+    assert not results[0].error
+    assert [m.name for m in results[0].metrics if not m.passed] == ["delta_at_5"]
+
+
+def test_run_checks_refuses_repeated_numbers():
+    with pytest.raises(ValueError, match="repeated check numbers"):
+        run_checks(VerifyParams(), checks=[2, 2])
+
+
 def test_pseudoinverse_draws_are_the_one_at_a_time_draws():
     # check 3 draws its matrices in one call: the same numbers in the same
     # order as a real and an imaginary 2x2 draw per matrix
@@ -103,7 +118,7 @@ def test_suite_assembles_each_models_dissipators_once(monkeypatch):
     real = models.dissipator
     monkeypatch.setattr(models, "dissipator", counted)
     scn = load_scenario(VERIFY_INI)
-    results = run_checks(scn.verify, checks=scn.checks)
+    results = run_checks(VerifyParams(seed=scn.seed), checks=scn.checks)
     assert all(res.passed for res in results)
     assert models.gad_model() is models.gad_model()
     used = (models.gad_model(), models.product_gad_model(2))

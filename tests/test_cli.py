@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import functools
 import json
 import os
 import shutil
@@ -9,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import damlab
-from damlab import pointer
+from damlab import cli, pointer
+from damlab.acceptance import VerifyParams
 from damlab.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -237,14 +240,12 @@ def test_verify_json_one_object_per_check(tmp_path, capsys):
         assert obj["metrics"]
 
 
-def test_verify_tampered_anchor_fails_by_name(tmp_path, capsys):
-    cfg = write_cfg(
-        tmp_path,
-        QUICK.format(
-            t=200,
-            extra="[verify]\nchecks = 5\nnonadiabatic_t_long = 5\n",
-        ),
+def test_verify_tampered_anchor_fails_by_name(tmp_path, capsys, monkeypatch):
+    # no scenario key moves an anchor, so the test moves it in the code
+    monkeypatch.setattr(
+        cli, "VerifyParams", functools.partial(VerifyParams, nonadiabatic_t_long=5.0)
     )
+    cfg = write_cfg(tmp_path, QUICK.format(t=200, extra="[verify]\nchecks = 5\n"))
     code, out, _ = run_cli(
         capsys, "verify", "--config", cfg, "--out", tmp_path / "o"
     )
@@ -252,6 +253,33 @@ def test_verify_tampered_anchor_fails_by_name(tmp_path, capsys):
     assert "FAILED: nonadiabaticity-scaling" in out
     rows = read_csv(tmp_path / "o" / "verify_report.csv")
     assert any(r["passed"] == "no" for r in rows)
+
+
+def test_verify_seed_reaches_the_suite(tmp_path, capsys, monkeypatch):
+    # the suite runs at --seed, else [run] seed, at its pinned operating points
+    seen = []
+
+    def spy(params, checks=None):
+        seen.append((params, checks))
+        return real(params, checks)
+
+    real = cli.run_checks
+    monkeypatch.setattr(cli, "run_checks", spy)
+    cfg = write_cfg(tmp_path, QUICK.format(t=200, extra="[verify]\nchecks = 2\n"))
+    for extra in ((), ("--seed", 7)):
+        code, _, _ = run_cli(
+            capsys, "verify", "--config", cfg, "--out", tmp_path / "o", *extra
+        )
+        assert code == 0
+    assert seen == [(VerifyParams(seed=99), (2,)), (VerifyParams(seed=7), (2,))]
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(VerifyParams)])
+def test_verify_operating_point_keys_exit_2(tmp_path, capsys, name):
+    cfg = write_cfg(tmp_path, QUICK.format(t=200, extra=f"[verify]\n{name} = 1\n"))
+    code, _, err = run_cli(capsys, "verify", "--config", cfg, "--out", tmp_path)
+    assert code == 2 and f"unknown [verify] key {name!r}" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_verify_report_identical_on_rerun(tmp_path, capsys, monkeypatch):

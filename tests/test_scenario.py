@@ -9,6 +9,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 from damlab.models import EXCITED_PROJECTOR
 from damlab.scenario import (
+    _SCHEMA,
     ScenarioError,
     load_model_file,
     load_scenario,
@@ -161,12 +162,19 @@ def test_sweep_section_validation(tmp_path):
 
 
 def test_verify_section_checks_and_overrides(tmp_path):
-    text = GOOD + "\n[verify]\nchecks = 2, 3\npert_t = 100\n"
+    # [verify] takes only the checks to run: the operating points are pinned
+    text = GOOD + "\n[verify]\nchecks = 2, 3\n"
     scn = load_scenario(write(tmp_path, text))
     assert scn.checks == (2, 3)
-    assert scn.verify.pert_t == 100.0
-    with pytest.raises(ScenarioError, match="1..10"):
-        load_scenario(write(tmp_path, text.replace("checks = 2, 3", "checks = 0")))
+    assert _SCHEMA["verify"].keys() == {"checks"}
+    assert sum(len(keys) for keys in _SCHEMA.values()) == 19
+    for bad, msg in (
+        ("checks = 0", "1..10"),
+        ("checks = 2, 3, 2", "distinct"),
+        ("checks = 2, 3\npert_t = 100", r"unknown \[verify\] key 'pert_t'"),
+    ):
+        with pytest.raises(ScenarioError, match=msg):
+            load_scenario(write(tmp_path, text.replace("checks = 2, 3", bad)))
 
 
 def test_unknown_verify_key_rejected_at_load(tmp_path):
@@ -177,17 +185,9 @@ def test_unknown_verify_key_rejected_at_load(tmp_path):
 
 
 def test_unparseable_verify_value_rejected_at_load(tmp_path):
-    text = GOOD + "\n[verify]\nscaling_ns = a, b\n"
-    with pytest.raises(ScenarioError, match=r"\[verify\] scaling_ns: cannot parse"):
+    text = GOOD + "\n[verify]\nchecks = a, b\n"
+    with pytest.raises(ScenarioError, match=r"\[verify\] checks: cannot parse"):
         load_scenario(write(tmp_path, text))
-
-
-def test_verify_seed_follows_the_final_seed_unless_set(tmp_path):
-    assert load_scenario(write(tmp_path, GOOD)).verify.seed == 42
-    assert load_scenario(write(tmp_path, GOOD), seed=7).verify.seed == 7
-    pinned = write(tmp_path, GOOD + "\n[verify]\nseed = 9\n")
-    assert load_scenario(pinned).verify.seed == 9
-    assert load_scenario(pinned, seed=7).verify.seed == 9
 
 
 def test_scenario_runs_builds_one_run_per_observable(tmp_path):
