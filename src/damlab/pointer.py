@@ -359,8 +359,7 @@ def _kernels(run, kernel_source):
     else one per half-plane pair (idx = (idx_i, idx_k)).
 
     The exact source reads K_N = c exp(N lam) from the memoized mode table;
-    the pairs it refuses go through the Pade ``trace_kernels`` at N. With the
-    pair path forced on an x-only table, its offsets are scattered with idx_k.
+    the pairs it refuses go through the Pade ``trace_kernels`` at N.
     """
     x_only = _x_only(run, kernel_source)
     p, pp, idx = _grid_pairs(run.apparatus, x_only)
@@ -369,19 +368,16 @@ def _kernels(run, kernel_source):
     if kernel_source == "ideal":
         mean_a = run.bundle.expectation(run.observable)
         return p, pp, np.exp(-1j * (p - pp) * run.n * mean_a), idx
-    (base, lin_p, lin_pp, w, v), table_x_only, (lam, c) = _kernel_modes(run)
+    (base, lin_p, lin_pp, w, v), _, (lam, c) = _kernel_modes(run)
     n = run.n
     kv = np.exp(n * lam)
     kv *= c
-    # the pair path forced on an x-only table, as the test oracle
-    forced = table_x_only and not x_only
     refused = np.flatnonzero(np.isnan(lam))
     if refused.size:
-        tp, tpp, _ = _grid_pairs(run.apparatus, True) if forced else (p, pp, idx)
         kv[refused] = kernels.trace_kernels(
-            n * base, n * lin_p, n * lin_pp, tp[refused], tpp[refused], w, v
+            n * base, n * lin_p, n * lin_pp, p[refused], pp[refused], w, v
         )
-    return p, pp, (kv[idx[1]] if forced else kv), idx
+    return p, pp, kv, idx
 
 
 def _offset_sums(f, values, idx, scale=1.0):
@@ -491,6 +487,17 @@ def pointer_distribution(run, kernel_source="exact"):
     quad = float(density.sum() * dq)
     defect = abs(quad - 1.0)
     if defect > NORMALIZATION_LIMIT:
+        # the q grid is centered on N <A>, the mean of the closed-form pointer
+        sd = math.sqrt(variance_closed_form(run))
+        outside = math.erfc(app.q_halfwidth / (sd * math.sqrt(2.0)))
+        if outside > NORMALIZATION_LIMIT:
+            raise ValueError(
+                f"q window too narrow: normalization defect {defect:.3g} "
+                f"(limit {NORMALIZATION_LIMIT}); a pointer of closed-form sd "
+                f"{sd:.3g} has {outside:.2g} of its mass outside the window "
+                f"+-{app.q_halfwidth:.3g} about N <A>; set [apparatus] "
+                f"q_halfwidth to about {8.0 * sd:.3g} (8 sd)"
+            )
         raise ValueError(
             f"grid too coarse: normalization defect {defect:.3g} "
             f"(limit {NORMALIZATION_LIMIT})"

@@ -6,9 +6,9 @@ Every sweep command emits the same row schema
     ci_lo, ci_hi, delta, mean_shift
 
 so downstream tooling can parse any sweep CSV the same way. Cells that do not
-apply to a series hold nan. Per-row runtimes are kept in memory for the
-console summary but never written to the CSV, which keeps reruns of the same
-scenario byte-identical regardless of machine load.
+apply to a series hold nan. Per-row runtimes go to the --json report only:
+the console summary prints none, and the CSV never holds them, which keeps
+reruns of the same scenario byte-identical regardless of machine load.
 
 Series emitted by the error-scaling sweep:
 
@@ -80,7 +80,7 @@ class SweepRow:
     ci_hi: float = NAN
     delta: float = NAN
     mean_shift: float = NAN
-    runtime_ms: float = NAN  # console only, excluded from CSV
+    runtime_ms: float = NAN  # --json only, never in the CSV
 
     def cells(self):
         return (

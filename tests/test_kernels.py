@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,6 +391,23 @@ def test_mode_table_serves_the_driven_file_grid(monkeypatch, t):
         assert np.abs(c * np.exp(n * lam) - pade).max() <= 4 * eps * n * g_norm
 
 
+@pytest.mark.parametrize("t", [50.0, 100.0])
+def test_mode_table_refusals_on_the_driven_file_grid(monkeypatch, t):
+    # below T = 200 the gap test refuses most of the same grid, all of it at
+    # T = 50; the Pade kernels at N then serve every refused pair
+    monkeypatch.setattr(pointer, "_MODE_MEMO", {})
+    model, observables = load_model_file(CONFIGS / "driven_gad.json")
+    app = default_apparatus(0.1)
+    run = DamRun(model, [0.3], observables["tilted"], t=t, n=1.0, apparatus=app)
+    lam = pointer._kernel_modes(run)[2][0]
+    refused = np.isnan(lam)
+    assert lam.size == 13_041
+    assert refused.sum() == {50.0: 13_041, 100.0: 12_593}[t]
+    kv = pointer._kernels(run, "exact")[2][refused]
+    # K(p, p') is a matrix element of the pointer's state: |K| <= K(p, p) = 1
+    assert np.isfinite(kv).all() and np.abs(kv).max() <= 1.0 + 1e-12
+
+
 def test_pointer_grids_call_the_backend_kernels_attribute(monkeypatch):
     # profilers wrap the functions of backend.kernels; every exact grid must
     # reach the numpy kernels through that attribute: one mode table of its
@@ -453,28 +466,3 @@ def test_pointer_grids_call_the_backend_kernels_attribute(monkeypatch):
     ]
     assert len(got) == len(want)
     assert set(got) == want
-
-
-def test_kernel_benchmark_script_runs():
-    src_root = str(Path(damlab.__file__).resolve().parent.parent)
-    script = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src_root + (os.pathsep + path if path else ""))
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        env.pop(name, None)
-    out = subprocess.run(
-        [sys.executable, str(script), "--pairs", "64", "--repeats", "1"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert out.returncode == 0, out.stderr
-    # damlab is imported before numpy and pins the CLI's one BLAS thread
-    assert out.stdout.startswith("BLAS threads: OPENBLAS_NUM_THREADS=1\n")
-    assert "reduced dimension 4 -> 2, x-only True" in out.stdout
-    assert "13041 exponentials: reduced dimension 4 -> 4, x-only False" in out.stdout
-    # the driven table rows: the gap test refuses most pairs at T = 100 and
-    # none from T = 200 on
-    assert "driven table at T = 100: 13041 pairs, refused " in out.stdout
-    assert "driven table at T = 200: 13041 pairs, refused 0\n" in out.stdout
-    assert "driven table at T = 500: 13041 pairs, refused 0\n" in out.stdout

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import os
@@ -396,8 +397,29 @@ def test_coarse_grids_are_rejected():
         q_halfwidth=0.25,
         q_points=512,
     )
-    with pytest.raises(ValueError, match="too coarse"):
+    with pytest.raises(ValueError, match="q window too narrow"):
         pointer_distribution(gad_run(t=50.0, apparatus=narrow_q))
+
+
+@pytest.mark.parametrize("n, t, sd, halfwidth", [
+    (5.0, 50.0, "0.376", "3.01"),
+    (1.0, 25.0, "0.248", "1.98"),
+])
+def test_narrow_q_window_names_the_window(n, t, sd, halfwidth):
+    # the default +-8 sigma window is narrower than the driven pointer of
+    # these runs; the refusal names the window, and 8 sd of the closed form
+    # is wide enough
+    model, observables = load_model_file(CONFIGS / "driven_gad.json")
+    app = default_apparatus(0.1)
+    run = DamRun(model, [0.3], observables["tilted"], t=t, n=n, apparatus=app)
+    with pytest.raises(ValueError, match="q window too narrow") as err:
+        pointer_distribution(run)
+    assert f"closed-form sd {sd} " in str(err.value)
+    assert "+-0.8 about N <A>" in str(err.value)
+    assert f"[apparatus] q_halfwidth to about {halfwidth} (8 sd)" in str(err.value)
+    wide = dataclasses.replace(app, q_halfwidth=float(halfwidth))
+    dist = pointer_distribution(dataclasses.replace(run, apparatus=wide))
+    assert dist.normalization_defect <= 1e-8
 
 
 def test_product_marginal_factorizes():
@@ -481,12 +503,18 @@ def random_runs(draw):
     return run, population
 
 
-def _pair_path_kernels(run):
-    """The run's exact (p, p', K, idx) with the pair path forced, also on an
-    x-only grid."""
+@contextlib.contextmanager
+def _pair_path():
+    """Every kernel source on the half-plane pairs, also on an x-only run:
+    the realization reports x_only False, so a fresh memo builds the exact
+    grid's mode table on every pair."""
+    minimal = pointer._minimal_realization
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pointer, "_MODE_MEMO", {})
+        mp.setattr(pointer, "_minimal_realization",
+                   lambda *terms: (minimal(*terms)[0], False))
         mp.setattr(pointer, "_x_only", lambda run, kernel_source: False)
-        return pointer._kernels(run, "exact")
+        yield
 
 
 def _first_of_offset(idx_k, k):
@@ -505,7 +533,9 @@ def test_reduced_grid_matches_dense_oracle(run_and_kind):
     except ValueError:
         reject()
     app = run.apparatus
-    p1, p2, kv, (idx_i, idx_k) = _pair_path_kernels(run)
+    with _pair_path():
+        p1, p2, kv, (idx_i, idx_k) = pointer._kernels(run, "exact")
+        lam = pointer._kernel_modes(run)[2][0]
     oracle = np.array([trace_kernel(run, x, y) for x, y in zip(p1, p2)])
     assert np.abs(kv - oracle).max() <= 1e-12
 
@@ -518,7 +548,6 @@ def test_reduced_grid_matches_dense_oracle(run_and_kind):
     assert x_only == bool(np.abs(oracle - oracle[first[idx_k]]).max() <= 1e-12)
     if mats[0].shape == base.shape:
         # pairs without a dominant mode take the Pade kernel at N, bit for bit
-        lam = pointer._kernel_modes(run)[2][0]
         pade = np.isnan(lam)
         n = run.n
         dense = kernels.trace_kernels(
@@ -543,9 +572,12 @@ def test_mode_table_matches_dense_oracle():
             run.bundle
         except ValueError:
             reject()
-        p1, p2, _, _ = _pair_path_kernels(run)
-        _, x_only, (lam, _) = pointer._kernel_modes(run)
-        mode = ~np.isnan(lam)
+        with _pair_path():
+            p1, p2, _, _ = pointer._kernels(run, "exact")
+            mode = ~np.isnan(pointer._kernel_modes(run)[2][0])
+            # every N reads the one table, as in a sweep
+            kvs = {n: pointer._kernels(dataclasses.replace(run, n=n), "exact")[2]
+                   for n in (1, 2, 5, 10, 50)}
         served["mode"] += int(mode.sum())
         served["pade"] += int((~mode).sum())
         base, lin_p, lin_pp, _, _ = _generator_terms(run)
@@ -553,9 +585,8 @@ def test_mode_table_matches_dense_oracle():
             np.abs(base + x * lin_p + y * lin_pp).sum(axis=0).max()
             for x, y in zip(p1, p2)
         )
-        for n in (1, 2, 5, 10, 50):
+        for n, kv in kvs.items():
             run_n = dataclasses.replace(run, n=n)
-            kv = _pair_path_kernels(run_n)[2]
             oracle = np.array([trace_kernel(run_n, x, y) for x, y in zip(p1, p2)])
             assert np.abs(kv - oracle).max() <= max(1e-12, 4 * eps * n * g_norm)
 
@@ -613,9 +644,8 @@ def test_offset_path_matches_pair_path(run):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pointer, "_half_plane", _forbidden)
         offsets, delta = _densities_and_delta(run)
-    # the pair path, summed pair by pair, is the oracle
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pointer, "_x_only", lambda run, kernel_source: False)
+    # the pair path, its table built and summed pair by pair, is the oracle
+    with _pair_path():
         pairs, delta_pairs = _densities_and_delta(run)
     for got, want in zip(offsets, pairs):
         if isinstance(want, str):
@@ -626,13 +656,13 @@ def test_offset_path_matches_pair_path(run):
     assert abs(delta - delta_pairs) <= 1e-13
 
 
-def test_pair_path_phases_sit_on_the_transform_offsets(monkeypatch):
+def test_pair_path_phases_sit_on_the_transform_offsets():
     # a wide, long run: a phase taken at p_i - p_j instead of the offset
     # k dp the Fourier stage transforms at drifts by k N <A> |dp - step|,
     # which moved the ideal mean by 1.4e-13 (the offset path: 3.6e-15)
     run = gad_run(t=2000.0, n=50, sigma=0.18)
-    monkeypatch.setattr(pointer, "_x_only", lambda run, kernel_source: False)
-    dist = pointer_distribution(run, "ideal")
+    with _pair_path():
+        dist = pointer_distribution(run, "ideal")
     target = run.n * run.bundle.expectation(run.observable)
     assert abs(dist.mean - target) <= 2e-14
 

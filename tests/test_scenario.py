@@ -158,6 +158,9 @@ def test_sweep_section_validation(tmp_path):
             load_scenario(write(tmp_path, base.replace(*breaker)))
     tied = base.replace("axis = N", "axis = T")
     tied = tied.replace("seed = 42", "seed = 42\nn_over_t = 0.01")
+    with pytest.raises(ScenarioError, match=r"\[run\] n and \[run\] n_over_t"):
+        load_scenario(write(tmp_path, tied))
+    tied = tied.replace("n = 1\n", "")
     assert load_scenario(write(tmp_path, tied)).n_over_t == 0.01
 
 
