@@ -25,12 +25,11 @@ optionally [sweep] and [verify]:
     values = 1, 2, 5, 10
 
 The keys above, plus [apparatus] p_halfwidth/q_halfwidth/q_points and [run]
-n_over_t (T sweeps only, in place of n), are the only ones accepted;
-[verify] takes only checks, a subset of the ten with no repeats (the suite's
-operating points are constants in acceptance, like its tolerances). Every
-value is parsed when the file loads, whatever the command: an unknown section
-or key, or a value that does not parse, is an error, not a silently ignored
-typo.
+n_over_t, are the only ones accepted; [verify] takes only checks, a subset of
+the ten with no repeats (the suite's operating points are constants in
+acceptance, like its tolerances). Every value is parsed when the file loads,
+whatever the command: an unknown section or key, or a value that does not
+parse, is an error, not a silently ignored typo.
 
 Custom models are JSON files: complex matrices are nested [re, im] pairs, and
 jump rates are affine in the parameters, {"const": c, "slope_per_param":
@@ -439,9 +438,6 @@ def load_scenario(path, seed=None, out_dir=None):
             _fail(path, "sweep values must be distinct")
     if "n_over_t" in run and sweep_axis != "T":
         _fail(path, "[run] n_over_t applies to T sweeps only ([sweep] axis = T)")
-    if "n_over_t" in run and "n" in run:
-        _fail(path, "[run] n and [run] n_over_t exclude each other: "
-                    "n_over_t sets N = n_over_t * T")
 
     checks = parsed["verify"].get("checks")
     if checks is not None and not (checks and all(1 <= c <= 10 for c in checks)):

@@ -538,12 +538,19 @@ def test_reduced_grid_matches_dense_oracle(run_and_kind):
         lam = pointer._kernel_modes(run)[2][0]
     oracle = np.array([trace_kernel(run, x, y) for x, y in zip(p1, p2)])
     assert np.abs(kv - oracle).max() <= 1e-12
+    # the kernels production computes: on an x-only run one per offset,
+    # held at every half-plane pair of its offset
+    _, _, kv_run, idx = pointer._kernels(run, "exact")
+    if idx is None:
+        kv_run = kv_run[idx_k]
+    assert np.abs(kv_run - oracle).max() <= 1e-12
 
     base, lin_p, lin_pp, w, v = _generator_terms(run)
     mats, x_only = _minimal_realization(base, lin_p, lin_pp, w, v)
     # a driven model can reduce as well (H = 0.25 sx, one jump 0.25i|0><0|
     # and A = H have rho_ss = I/2), so the flag is checked against the oracle
     assert x_only or not population
+    assert x_only == (idx is None)
     first = _first_of_offset(idx_k, app.p_points)
     assert x_only == bool(np.abs(oracle - oracle[first[idx_k]]).max() <= 1e-12)
     if mats[0].shape == base.shape:
@@ -561,7 +568,7 @@ def test_mode_table_matches_dense_oracle():
     # Pade and the mode table both round at about eps N ||G||_1, the
     # conditioning of K_N in the entries of G; Pade itself misses 1e-12 by up
     # to 3e-11 at T = 500, N = 50, so the bound grows with it past 1e-12
-    served = {"mode": 0, "pade": 0}
+    served = {"mode": 0, "pade": 0, "offset mode": 0, "offset pade": 0}
     eps = np.finfo(float).eps
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -572,26 +579,40 @@ def test_mode_table_matches_dense_oracle():
             run.bundle
         except ValueError:
             reject()
+        ns = (1, 2, 5, 10, 50)
         with _pair_path():
-            p1, p2, _, _ = pointer._kernels(run, "exact")
+            p1, p2, _, (_, idx_k) = pointer._kernels(run, "exact")
             mode = ~np.isnan(pointer._kernel_modes(run)[2][0])
             # every N reads the one table, as in a sweep
             kvs = {n: pointer._kernels(dataclasses.replace(run, n=n), "exact")[2]
-                   for n in (1, 2, 5, 10, 50)}
+                   for n in ns}
         served["mode"] += int(mode.sum())
         served["pade"] += int((~mode).sum())
+        # the kernels production computes: on an x-only run one per offset,
+        # from its own table, held at every half-plane pair of its offset
+        runs = {n: pointer._kernels(dataclasses.replace(run, n=n), "exact")
+                for n in ns}
+        if runs[1][3] is None:
+            kvs_run = {n: out[2][idx_k] for n, out in runs.items()}
+            mode = ~np.isnan(pointer._kernel_modes(run)[2][0])
+            served["offset mode"] += int(mode.sum())
+            served["offset pade"] += int((~mode).sum())
+        else:
+            kvs_run = {n: out[2] for n, out in runs.items()}
         base, lin_p, lin_pp, _, _ = _generator_terms(run)
         g_norm = max(
             np.abs(base + x * lin_p + y * lin_pp).sum(axis=0).max()
             for x, y in zip(p1, p2)
         )
-        for n, kv in kvs.items():
+        for n in ns:
             run_n = dataclasses.replace(run, n=n)
             oracle = np.array([trace_kernel(run_n, x, y) for x, y in zip(p1, p2)])
-            assert np.abs(kv - oracle).max() <= max(1e-12, 4 * eps * n * g_norm)
+            bound = max(1e-12, 4 * eps * n * g_norm)
+            assert np.abs(kvs[n] - oracle).max() <= bound
+            assert np.abs(kvs_run[n] - oracle).max() <= bound
 
     check()
-    assert served["mode"] > 0 and served["pade"] > 0
+    assert all(count > 0 for count in served.values())
 
 
 def _driven_file_run(n):

@@ -152,16 +152,17 @@ def test_sweep_section_validation(tmp_path):
         (("values = 1, 2, 5", "values = 5, 2, 1"), "ascending"),
         (("values = 1, 2, 5", "values = 1, 1, 5"), "distinct"),
         (("axis = N", "axis = Q"), "axis must be"),
-        (("seed = 42", "seed = 42\nn_over_t = 0.01"), r"\[run\] n_over_t"),
+        (("seed = 42", "seed = 42\nn_over_t = 0.01"), "applies to T sweeps only"),
     ):
         with pytest.raises(ScenarioError, match=msg):
             load_scenario(write(tmp_path, base.replace(*breaker)))
     tied = base.replace("axis = N", "axis = T")
     tied = tied.replace("seed = 42", "seed = 42\nn_over_t = 0.01")
-    with pytest.raises(ScenarioError, match=r"\[run\] n and \[run\] n_over_t"):
-        load_scenario(write(tmp_path, tied))
-    tied = tied.replace("n = 1\n", "")
-    assert load_scenario(write(tmp_path, tied)).n_over_t == 0.01
+    # n stays the N of the single-run commands, as t stays their T
+    tied = tied.replace("n = 1\n", "n = 7\n")
+    scn = load_scenario(write(tmp_path, tied))
+    assert scn.n_over_t == 0.01
+    assert scenario_runs(scn)[0].n == 7.0
 
 
 def test_verify_section_checks_and_overrides(tmp_path):
