@@ -47,8 +47,9 @@ from .models import (
     steady_state_bundle,
 )
 from .pointer import DamRun, default_apparatus, nonadiabaticity, pointer_distribution, sample_pointer
+from .rng import Stream
 from .scenario import load_scenario
-from .sweeps import nonadiabaticity_sweep, sweep_csv, write_csv
+from .sweeps import least_squares_slope, nonadiabaticity_sweep, sweep_csv, write_csv
 
 __all__ = [
     "VerifyParams",
@@ -195,9 +196,8 @@ def _check_steady_state_gap(p):
 def _check_pseudoinverse_closed_form(p):
     model = gad_model()
     bundle = steady_state_bundle(model, [p.theta])
-    rng = np.random.default_rng(np.random.SeedSequence([p.seed, 3]))
     # per draw a real and an imaginary 2x2 part, in the order of one draw each
-    g = rng.standard_normal((p.pseudo_draws, 2, 2, 2))
+    g = Stream([p.seed, 3]).normal((p.pseudo_draws, 2, 2, 2))
     x = g[:, 0] + 1j * g[:, 1]
     worst = float(np.abs(
         bundle.s_apply(x) - gad_pseudoinverse_closed_form(x, p.theta)
@@ -259,8 +259,8 @@ def _check_heisenberg_scaling(p):
         )
         povm_err.append(povm.empirical_error)
     log_n = np.log(np.asarray(p.scaling_ns, dtype=float))
-    dam_slope = float(np.polyfit(log_n, np.log(dam_err), 1)[0])
-    povm_slope = float(np.polyfit(log_n, np.log(povm_err), 1)[0])
+    dam_slope = least_squares_slope(log_n, np.log(dam_err))
+    povm_slope = least_squares_slope(log_n, np.log(povm_err))
     return [
         _le("max_point_deviation", max(rels), SCALING_POINT_REL_TOL),
         _in("dam_slope", dam_slope, DAM_SLOPE_RANGE),
@@ -300,8 +300,8 @@ def _check_qfi_suite(p):
     single, double = qfi_random_probe_bounds(
         p.qfi_bound_theta,
         p.qfi_bound_t,
-        np.random.SeedSequence([p.seed, 8, 1]),
-        np.random.SeedSequence([p.seed, 8, 2]),
+        [p.seed, 8, 1],
+        [p.seed, 8, 2],
         p.qfi_probes,
         p.qfi_product_probes,
     )
@@ -362,8 +362,8 @@ def _check_determinism_reduction(p):
     stable = blobs[0] == blobs[1] == blobs[2]
 
     dist = pointer_distribution(_gad_run(p.theta, p.pointer_t, 1.0, p.sigma), "exact")
-    s1 = sample_pointer(dist, np.random.SeedSequence([p.seed, 10]), 5000)
-    s2 = sample_pointer(dist, np.random.SeedSequence([p.seed, 10]), 5000)
+    s1 = sample_pointer(dist, [p.seed, 10], 5000)
+    s2 = sample_pointer(dist, [p.seed, 10], 5000)
     replay = bool(np.array_equal(s1, s2))
     return [
         _le("m1_reduction_defect", reduction, REDUCTION_TOL),

@@ -255,8 +255,8 @@ def cmd_qfi_bound(scn, args, out_dir):
     single, double = qfi_random_probe_bounds(
         theta,
         scn.t,
-        np.random.SeedSequence([scn.seed, 81]),
-        np.random.SeedSequence([scn.seed, 82]),
+        [scn.seed, 81],
+        [scn.seed, 82],
         20,
         5,
     )

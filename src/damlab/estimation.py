@@ -14,14 +14,13 @@ from dataclasses import InitVar, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-# numpy loads it lazily; load it with damlab, not inside the first run
-import numpy.random
 
 from ._kernels_py import expm_batch
 from .models import STEADY_TOL, _bordered_solve, _steady_gaps
 from .models import gad_model, product_gad_model
 from .operators import devectorize, is_density_matrix, is_hermitian, vectorize
 from .pointer import DamRun, pointer_distribution, sample_pointer, variance_closed_form
+from .rng import Stream, seed_words
 
 __all__ = [
     "LinkFunction",
@@ -125,10 +124,15 @@ def steady_expectation_link(model, observables):
     a = np.asarray(observables, dtype=complex)
     if a.ndim != 3 or len(a) != m:
         raise ValueError(f"model {model.name!r} needs {m} observables, one each")
+    for j, aj in enumerate(a):
+        if not is_hermitian(aj):
+            raise ValueError(f"observable {j} of the link on model {model.name!r} "
+                             f"must be Hermitian")
     dom_lo, dom_hi = np.array(model.param_domain).T
     margin = LINK_MARGIN_REL * (dom_hi - dom_lo)
     lo, hi = dom_lo + margin, dom_hi - margin
-    tol = NEWTON_RTOL * max(np.linalg.norm(aj, 2) for aj in a)  # ||A_j|| >= |f_j|
+    # max_j ||A_j||, the largest |eigenvalue|, bounds every |f_j|
+    tol = NEWTON_RTOL * float(np.abs(np.linalg.eigvalsh(a)).max())
 
     axes = [np.linspace(l, h, round(LINK_SEEDS ** (1 / m))) for l, h in zip(lo, hi)]
     seeds = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
@@ -415,19 +419,14 @@ def _chi2_ci(err, dof):
     return (float(lo), float(hi))
 
 
-def _entropy(seed):
-    if isinstance(seed, (int, np.integer)):
-        return [int(seed)]
-    return [int(s) for s in seed]
-
-
 def mc_dam_error(runs, link, trials, seed):
     """Monte Carlo error of the pointer estimator against the formula.
 
     ``runs`` is one DamRun or a list of runs, one per link parameter, each
-    with its own pointer and all sharing N, T and apparatus. Readings are sampled from the exact pointer
-    distributions with per-observable seed substreams; runs with more than 1%
-    clamped readings are rejected instead of silently biasing the estimate.
+    with its own pointer and all sharing N, T and apparatus. Readings are
+    sampled from the exact pointer distributions, observable j's from the
+    stream keyed by ``seed``'s words and j; runs with more than 1% clamped
+    readings are rejected instead of silently biasing the estimate.
     """
     trials = int(trials)
     if trials < 100:
@@ -435,12 +434,9 @@ def mc_dam_error(runs, link, trials, seed):
     runs = _shared_runs(runs, link)
     theta_true = _link_theta(runs, link.m)
     dists = [pointer_distribution(r, "exact") for r in runs]
-    ent = _entropy(seed)
+    words = seed_words(seed)
     qs = np.column_stack(
-        [
-            sample_pointer(d, np.random.SeedSequence(ent + [j]), trials)
-            for j, d in enumerate(dists)
-        ]
+        [sample_pointer(d, words + [j], trials) for j, d in enumerate(dists)]
     )
     thetas, clamp_mask = _estimate_batch(qs, runs[0].n, link)
     clamp_fraction = float(clamp_mask.mean())
@@ -479,8 +475,7 @@ def conventional_povm_error(theta, n, trials, seed):
     if n < 1:
         raise ValueError("N must be a positive integer")
     trials = int(trials)
-    rng = np.random.default_rng(np.random.SeedSequence(_entropy(seed)))
-    hats = rng.binomial(n, theta, size=trials) / n
+    hats = Stream(seed).binomial(n, theta, trials) / n
     predicted = float(np.sqrt(theta * (1.0 - theta) / n))
     empirical = float(np.sqrt(((hats - theta) ** 2).mean()))
     return EstimationReport(
@@ -652,23 +647,23 @@ def qfi_output_bound_check(theta, t, probes, copies=1):
     )
 
 
-def _random_density(rng, dim):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+def _random_qubit_states(seed, count):
+    # G G^dagger / tr, G with standard normal real and imaginary parts
+    g = Stream(seed).normal((count, 2, 2, 2))
+    g = g[:, 0] + 1j * g[:, 1]
+    rho = g @ np.swapaxes(g, 1, 2).conj()
+    return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
 
 
 def qfi_random_probe_bounds(theta, t, single_seed, pair_seed, singles, pairs):
     """qfi_output_bound_check on random probes: ``singles`` one-qubit states
-    drawn from ``single_seed`` (copies 1) and ``pairs`` product pairs drawn
-    from ``pair_seed`` (copies 2). Returns the two reports."""
-    rng = np.random.default_rng(single_seed)
-    probes = [_random_density(rng, 2) for _ in range(singles)]
-    single = qfi_output_bound_check(theta, t, probes, copies=1)
-    rng = np.random.default_rng(pair_seed)
-    products = [
-        np.kron(_random_density(rng, 2), _random_density(rng, 2))
-        for _ in range(pairs)
-    ]
+    drawn from ``single_seed`` (copies 1) and ``pairs`` products of two drawn
+    from ``pair_seed`` (copies 2); the seeds are seed words. Returns the two
+    reports."""
+    single = qfi_output_bound_check(
+        theta, t, _random_qubit_states(single_seed, singles), copies=1
+    )
+    pair = _random_qubit_states(pair_seed, 2 * pairs).reshape(pairs, 2, 2, 2)
+    products = np.einsum("nij,nkl->nikjl", pair[:, 0], pair[:, 1]).reshape(pairs, 4, 4)
     double = qfi_output_bound_check(theta, t, products, copies=2)
     return single, double

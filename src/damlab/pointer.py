@@ -51,13 +51,13 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-# numpy loads these lazily; load them with damlab, not inside the first run
+# numpy loads it lazily; load it with damlab, not inside the first run
 import numpy.fft
-import numpy.random
 
 from .backend import kernels
 from .models import LindbladModel, dissipation_coefficient, steady_state_bundle
 from .operators import is_hermitian, left_mult, mat_exp, right_mult, vectorize
+from .rng import Stream
 
 __all__ = [
     "ApparatusConfig",
@@ -552,15 +552,14 @@ def nonadiabaticity(run):
 def sample_pointer(dist, seed, count):
     """i.i.d. pointer readings by inverse-CDF sampling on the grid.
 
-    The density is treated as constant on each grid cell. ``seed`` may be an
-    int or a numpy SeedSequence; the stream is fully determined by it.
+    The density is treated as constant on each grid cell. ``seed`` is an
+    int or a list of seed words (``rng.seed_words``); the readings are fully
+    determined by it.
     """
-    rng = np.random.default_rng(seed)
-    count = int(count)
     masses = dist.cell_masses()
     cum = np.cumsum(masses)
     cum[-1] = 1.0
-    u = rng.random(count)
+    u = Stream(seed).random(int(count))
     cells = np.searchsorted(cum, u, side="right")
     prev = cum[cells] - masses[cells]
     frac = (u - prev) / masses[cells]

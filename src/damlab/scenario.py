@@ -17,7 +17,7 @@ optionally [sweep] and [verify]:
     n = 1
     link = identity             ; or steady (exact, one observable per parameter)
     trials = 1000
-    seed = 123                  ; mandatory, never defaulted from the clock
+    seed = 123                  ; mandatory, in [0, 2^64), never from the clock
     out_dir = out               ; optional
 
     [sweep]
@@ -44,7 +44,6 @@ product model; custom models may name additional observables in the file.
 """
 
 import configparser
-import hashlib
 import itertools
 import json
 import math
@@ -53,6 +52,16 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+
+try:
+    # CPython's own SHA-256, as random.py takes sha512: hashlib would load
+    # OpenSSL's libcrypto (about 3 MiB) for one digest per scenario
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .models import (
     EXCITED_PROJECTOR,
@@ -362,7 +371,7 @@ def load_scenario(path, seed=None, out_dir=None):
         text = path.read_text()
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
-    digest = hashlib.sha256(text.encode()).hexdigest()
+    digest = sha256(text.encode()).hexdigest()
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         cfg.read_string(text, source=str(path))
@@ -422,6 +431,9 @@ def load_scenario(path, seed=None, out_dir=None):
         seed = run.get("seed")
     if seed is None:
         _fail(path, "seed is mandatory: set [run] seed or pass --seed")
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= seed < 2**64):
+        _fail(path, f"seed must be an integer in [0, 2^64), got {seed!r}")
     if out_dir is None:
         out_dir = run.get("out_dir", "out")
 

@@ -51,6 +51,7 @@ __all__ = [
     "nonadiabaticity_sweep",
     "leading_nonadiabaticity",
     "format_cell",
+    "least_squares_slope",
     "write_csv",
 ]
 
@@ -67,6 +68,12 @@ SWEEP_COLUMNS = (
 )
 
 NAN = float("nan")
+
+
+def least_squares_slope(x, y):
+    """Slope of the least-squares line through (x, y), in closed form."""
+    dx = x - x.mean()
+    return float(dx @ (y - y.mean()) / (dx @ dx))
 
 
 @dataclass(frozen=True)
@@ -114,7 +121,7 @@ class SweepResult:
         keep = np.isfinite(ys) & (ys > 0)
         if keep.sum() < 2:
             raise ValueError(f"series {name!r} has fewer than two positive points")
-        return float(np.polyfit(np.log(xs[keep]), np.log(ys[keep]), 1)[0])
+        return least_squares_slope(np.log(xs[keep]), np.log(ys[keep]))
 
     def to_jsonable(self):
         return {

@@ -12,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from damlab import models
+from damlab import acceptance, models, pointer
+from damlab.backend import kernels
 from damlab.acceptance import CHECK_NAMES, VerifyParams, run_checks
+from damlab.rng import Stream
 from damlab.scenario import load_scenario
 
 VERIFY_INI = Path(__file__).resolve().parent.parent / "configs" / "verify.ini"
@@ -77,6 +79,39 @@ def test_c10_determinism_reduction(suite):
     _require(suite, 10)
 
 
+def test_c10_reruns_are_byte_identical_from_an_empty_memo(monkeypatch):
+    # the mode-table memo serves check 10's second and third sweep otherwise;
+    # emptied before each, every rerun builds its own tables
+    blobs, builds, built = [], [], []
+    sweep, write, build = (
+        acceptance.nonadiabaticity_sweep, acceptance.sweep_csv, kernels.mode_table
+    )
+
+    def fresh_sweep(scn):
+        pointer._MODE_MEMO.clear()
+        before = len(builds)
+        result = sweep(scn)
+        built.append(len(builds) - before)
+        return result
+
+    def kept_csv(result, path):
+        write(result, path)
+        blobs.append(Path(path).read_bytes())
+
+    def counted_build(*args):
+        builds.append(None)
+        return build(*args)
+
+    monkeypatch.setattr(acceptance, "nonadiabaticity_sweep", fresh_sweep)
+    monkeypatch.setattr(acceptance, "sweep_csv", kept_csv)
+    monkeypatch.setattr(kernels, "mode_table", counted_build)
+    (res,) = run_checks(VerifyParams(), checks=[10])
+    assert res.passed, res.metrics
+    # two T values per sweep, each its own table
+    assert built == [2, 2, 2]
+    assert len(blobs) == 3 and blobs[0] == blobs[1] == blobs[2]
+
+
 def test_moved_operating_point_fails_its_check_by_name():
     results = run_checks(replace(VerifyParams(), nonadiabatic_t_long=5.0), checks=[5])
     assert [(res.number, res.name, res.passed) for res in results] == [
@@ -94,14 +129,14 @@ def test_run_checks_refuses_repeated_numbers():
 def test_pseudoinverse_draws_are_the_one_at_a_time_draws():
     # check 3 draws its matrices in one call: the same numbers in the same
     # order as a real and an imaginary 2x2 draw per matrix
-    def rng():
-        return np.random.default_rng(np.random.SeedSequence([VerifyParams().seed, 3]))
+    def stream():
+        return Stream([VerifyParams().seed, 3])
 
-    g = rng().standard_normal((50, 2, 2, 2))
-    one = rng()
+    g = stream().normal((50, 2, 2, 2))
+    one = stream()
     for draw in g:
-        assert np.array_equal(draw[0], one.standard_normal((2, 2)))
-        assert np.array_equal(draw[1], one.standard_normal((2, 2)))
+        assert np.array_equal(draw[0], one.normal((2, 2)))
+        assert np.array_equal(draw[1], one.normal((2, 2)))
 
 
 def test_suite_assembles_each_models_dissipators_once(monkeypatch):

@@ -300,6 +300,14 @@ def test_verify_report_identical_on_rerun(tmp_path, capsys, monkeypatch):
     assert blobs[0] == blobs[1]
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_u64_exits_2(tmp_path, capsys, seed):
+    cfg = write_cfg(tmp_path, QUICK.format(t=200, extra=""))
+    code, _, err = run_cli(capsys, "steady", "--config", cfg, "--seed", seed,
+                           "--out", tmp_path)
+    assert code == 2 and f"seed must be an integer in [0, 2^64), got {seed}" in err
+
+
 def test_configuration_errors_exit_2(tmp_path, capsys):
     # theta outside the domain
     cfg = write_cfg(tmp_path, QUICK.format(t=200, extra="").replace(
@@ -545,6 +553,21 @@ def test_import_pins_one_blas_thread():
 def test_a_user_blas_thread_setting_wins(name, value):
     got = blas_variables_after_import(fresh_env(**{name: value}))
     assert got == {k: value if k == name else None for k in BLAS_THREAD_VARIABLES}
+
+
+def test_a_run_loads_neither_numpy_random_nor_openssl(tmp_path):
+    argv = ["scaling", "--config", str(CONFIG_DIR / "scaling_demo.ini"),
+            "--out", str(tmp_path)]
+    code = (
+        "import sys, damlab.cli\n"
+        f"code = damlab.cli.main({argv!r})\n"
+        "print(code, sorted(m for m in ('numpy.random', 'hashlib', '_hashlib')"
+        " if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=fresh_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 []"
 
 
 def test_blas_threads_do_not_change_the_csv(tmp_path):

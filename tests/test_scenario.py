@@ -7,6 +7,7 @@ import pytest
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
+from damlab import scenario
 from damlab.models import EXCITED_PROJECTOR
 from damlab.scenario import (
     _SCHEMA,
@@ -57,6 +58,17 @@ def test_sha256_matches_file_bytes(tmp_path):
     assert scn.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def test_builtin_sha256_matches_hashlib_on_shipped_configs():
+    shipped = sorted(CONFIG_DIR.glob("*")) + sorted(
+        CONFIG_DIR.parent.glob("perfbench/scenarios/*")
+    )
+    assert len(shipped) >= 9
+    assert scenario.sha256.__module__ in ("_sha2", "_sha256")
+    for path in shipped:
+        data = path.read_bytes()
+        assert scenario.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
 def test_apparatus_defaults_follow_sigma(tmp_path):
     scn = load_scenario(write(tmp_path, GOOD.replace("sigma = 0.1", "sigma = 0.2")))
     app = scn.apparatus
@@ -82,6 +94,19 @@ def test_cli_arguments_win_over_file_keys(tmp_path):
 def test_missing_seed_rejected(tmp_path):
     with pytest.raises(ScenarioError, match="seed is mandatory"):
         load_scenario(write(tmp_path, GOOD.replace("seed = 42", "")))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+def test_seed_outside_u64_rejected(tmp_path, seed):
+    with pytest.raises(ScenarioError, match=r"seed must be an integer in \[0, 2\^64\)"):
+        load_scenario(write(tmp_path, GOOD), seed=seed)
+    if isinstance(seed, int):
+        with pytest.raises(ScenarioError, match="seed must be an integer"):
+            load_scenario(write(tmp_path, GOOD.replace("seed = 42", f"seed = {seed}")))
+
+
+def test_largest_seed_accepted(tmp_path):
+    assert load_scenario(write(tmp_path, GOOD), seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_seed_argument_repairs_missing_key(tmp_path):
