@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Stream", "seed_words"]
+__all__ = ["Stream", "seed_word", "seed_words"]
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -23,15 +23,18 @@ _GAMMA = 0x9E3779B97F4A7C15
 BINOMIAL_SPAN_SD = 40
 
 
+def seed_word(w):
+    """``w`` as a Python int, refused unless an integer in [0, 2^64)."""
+    if isinstance(w, bool) or not isinstance(w, (int, np.integer)):
+        raise TypeError(f"seed word {w!r} is not an integer")
+    if not 0 <= w <= _MASK:
+        raise ValueError(f"seed word {w} is outside [0, 2^64)")
+    return int(w)
+
+
 def seed_words(seed):
     """The words of ``seed``, an int or a list or tuple of ints, as a list."""
-    words = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    for w in words:
-        if isinstance(w, bool) or not isinstance(w, (int, np.integer)):
-            raise TypeError(f"seed words must be integers, got {w!r}")
-        if not 0 <= w <= _MASK:
-            raise ValueError(f"seed word {w} outside [0, 2^64)")
-    return [int(w) for w in words]
+    return [seed_word(w) for w in (seed if isinstance(seed, (list, tuple)) else [seed])]
 
 
 def _mix(z):

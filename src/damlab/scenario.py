@@ -71,6 +71,7 @@ from .models import (
     product_gad_model,
 )
 from .pointer import ApparatusConfig, DamRun, default_apparatus
+from .rng import seed_word
 
 __all__ = [
     "Scenario",
@@ -431,9 +432,10 @@ def load_scenario(path, seed=None, out_dir=None):
         seed = run.get("seed")
     if seed is None:
         _fail(path, "seed is mandatory: set [run] seed or pass --seed")
-    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-            or not 0 <= seed < 2**64):
-        _fail(path, f"seed must be an integer in [0, 2^64), got {seed!r}")
+    try:
+        seed = seed_word(seed)
+    except (TypeError, ValueError) as exc:
+        _fail(path, f"bad seed: {exc}")
     if out_dir is None:
         out_dir = run.get("out_dir", "out")
 
@@ -474,7 +476,7 @@ def load_scenario(path, seed=None, out_dir=None):
         n=float(n),
         n_over_t=run.get("n_over_t"),
         trials=trials,
-        seed=int(seed),
+        seed=seed,
         sweep_axis=sweep_axis,
         sweep_values=sweep_values,
         out_dir=str(out_dir),

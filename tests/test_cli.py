@@ -305,7 +305,7 @@ def test_seed_outside_u64_exits_2(tmp_path, capsys, seed):
     cfg = write_cfg(tmp_path, QUICK.format(t=200, extra=""))
     code, _, err = run_cli(capsys, "steady", "--config", cfg, "--seed", seed,
                            "--out", tmp_path)
-    assert code == 2 and f"seed must be an integer in [0, 2^64), got {seed}" in err
+    assert code == 2 and f"bad seed: seed word {seed} is outside [0, 2^64)" in err
 
 
 def test_configuration_errors_exit_2(tmp_path, capsys):

@@ -42,13 +42,13 @@ def test_draws_are_taken_in_order():
 
 @pytest.mark.parametrize("seed", [-1, 2**64, [1, -1], [2**64]])
 def test_seed_words_refuse_words_outside_u64(seed):
-    with pytest.raises(ValueError, match=r"outside \[0, 2\^64\)"):
+    with pytest.raises(ValueError, match=r"is outside \[0, 2\^64\)"):
         seed_words(seed)
 
 
 @pytest.mark.parametrize("seed", [1.5, True, [1, 1.0], "7"])
 def test_seed_words_refuse_non_integers(seed):
-    with pytest.raises(TypeError, match="seed words must be integers"):
+    with pytest.raises(TypeError, match="is not an integer"):
         seed_words(seed)
 
 

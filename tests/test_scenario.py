@@ -98,10 +98,10 @@ def test_missing_seed_rejected(tmp_path):
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
 def test_seed_outside_u64_rejected(tmp_path, seed):
-    with pytest.raises(ScenarioError, match=r"seed must be an integer in \[0, 2\^64\)"):
+    with pytest.raises(ScenarioError, match=f"bad seed: seed word {seed}"):
         load_scenario(write(tmp_path, GOOD), seed=seed)
     if isinstance(seed, int):
-        with pytest.raises(ScenarioError, match="seed must be an integer"):
+        with pytest.raises(ScenarioError, match=r"is outside \[0, 2\^64\)"):
             load_scenario(write(tmp_path, GOOD.replace("seed = 42", f"seed = {seed}")))
 
 
