@@ -293,6 +293,9 @@ def test_steady_link_refuses_observables_that_cannot_identify_theta():
         steady_expectation_link(model, [named["excited"], named["tilted"]])
     with pytest.raises(ValueError, match="needs 2 observables, one each"):
         steady_expectation_link(model, [named["excited"]])
+    raising = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="observable 1 .* must be Hermitian"):
+        steady_expectation_link(model, [named["excited"], raising])
 
 
 def test_two_parameter_reading_outside_the_image_lands_on_a_face():
