@@ -105,7 +105,7 @@ the same bits in any batch, down to a batch of one pair.
 
 import numpy as np
 
-__all__ = ["expm_batch", "mode_table", "trace_kernels"]
+__all__ = ["expm_batch", "mode_table", "mode_table_blocks", "trace_kernels"]
 
 # complex numbers per batch array: Pade temporaries of a batch fit in L2
 _BATCH_ELEMENTS = 4_096
@@ -385,13 +385,35 @@ def mode_table(base, lin_p, lin_pp, p, pp, w, v):
     refuses, and every pair of a base without a usable eigenbasis, hold NaN
     in both rows. Arguments are those of ``trace_kernels``.
     """
+    p = np.asarray(p, dtype=float)
+    return mode_table_blocks(base, lin_p, lin_pp, [(p, pp)], p.size, w, v)
+
+
+def mode_table_blocks(base, lin_p, lin_pp, blocks, size, w, v):
+    """``mode_table`` of a grid of ``size`` pairs given as a stream of blocks.
+
+    ``blocks`` yields (p, pp) coefficient arrays, consecutive parts of the
+    grid in table order, so no array of the whole grid is needed. One
+    eigenbasis serves the table; each block is computed in batches of
+    ``_BATCH_ELEMENTS``, and a pair's mode does not depend on its batch, so
+    the table is the same bits however the grid is cut.
+    """
     w = np.asarray(w, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    p = np.asarray(p, dtype=float)
-    pp = np.asarray(pp, dtype=float)
     basis = _eigenbasis(*(np.asarray(x, dtype=complex) for x in (base, lin_p, lin_pp)))
-    table = np.full((2, p.size), np.nan, dtype=complex)
-    for lo, hi, g in _generator_chunks(base, lin_p, lin_pp, p, pp):
-        if basis is not None:
-            table[:, lo:hi] = _modes(g, p[lo:hi], pp[lo:hi], basis, w, v)
+    table = np.full((2, size), np.nan, dtype=complex)
+    start = 0
+    for p, pp in blocks:
+        p = np.asarray(p, dtype=float)
+        pp = np.asarray(pp, dtype=float)
+        if start + p.size > size:
+            raise ValueError(f"blocks hold more than {size} pairs")
+        for lo, hi, g in _generator_chunks(base, lin_p, lin_pp, p, pp):
+            if basis is not None:
+                table[:, start + lo:start + hi] = _modes(
+                    g, p[lo:hi], pp[lo:hi], basis, w, v
+                )
+        start += p.size
+    if start != size:
+        raise ValueError(f"blocks hold {start} pairs, not {size}")
     return table

@@ -21,34 +21,39 @@ Grids exponentiate the generator on its minimal realization: the subspace
 reachable from vec(rho_ss) and observable from vec(I). Where A X = X A on
 that subspace, K depends on x alone and a grid needs one exponential per
 offset; so does the ideal phase, and the perturbative kernel when Im c is
-exactly 0 (``_x_only``). ``_grid_pairs`` is the one pair definition: (k dp,
-0) per offset, or (p_i, p_i - k dp) per half-plane pair, so x is the
-Fourier stage's offset k dp up to one rounding of p_i. ``_kernels`` gives
-every source's kernels at those pairs, and ``_offset_sums`` reduces them to
-S_k = sum_i f_i f_{i-k} K_ik per offset, by one correlation of f on the
-offsets or one bincount over the pairs: ``pointer_distribution`` takes
-C(x_k) = dp S_k with f = phi, ``nonadiabaticity`` Delta^2 = S_0 + 2
-sum_{k>0} S_k. Both grids are uniform, so the final transform onto the q
-grid is a chirp-z transform, computed by Bluestein's algorithm with one FFT
-convolution.
+exactly 0 (``_x_only``). ``_grid_blocks`` is the one pair definition: one
+block of (k dp, 0) per offset, or the half-plane pairs (p_i, p_i - k dp)
+streamed in blocks of whole offsets of at most ``_BLOCK_PAIRS`` = 4,096
+pairs (``_half_plane_blocks``), so x is the Fourier stage's offset k dp up
+to one rounding of p_i, and no array that depends on N spans the grid.
+``_kernels`` gives every source's kernels block by block, and
+``_offset_sums`` reduces them to S_k = sum_i f_i f_{i-k} K_ik per offset, by
+one correlation of f on the offsets or one bincount per block of pairs; an
+offset lies wholly in one block, so its sum runs in the same order however
+the grid is cut. ``pointer_distribution`` takes C(x_k) = dp S_k with f =
+phi, ``nonadiabaticity`` Delta^2 = S_0 + 2 sum_{k>0} S_k. Both grids are
+uniform, so the final transform onto the q grid is a chirp-z transform,
+computed by Bluestein's algorithm with one FFT convolution.
 
 Only the factor N depends on N: K = w . exp(N G) . v with the N-free
 generator G = T L - i (p A . - p' . A). A grid's realization and its
-dominant-mode table (``_kernels_py.mode_table``: per pair the eigenvalue lam
-of G of largest real part and the weight c of its mode, K = c exp(N lam))
-are therefore built once per (model, theta, observable, T, apparatus) and
-kept in a memo of the ``_MODE_MEMO_SIZE`` = 4 most recently used keys, so
-the runs of an N sweep share them. An entry holds the reduced matrices and
-two complex numbers per computed pair (408 KiB for a full 13,041-pair grid,
-5 KiB for an x-only one), no p or p' arrays and no exponentials. Pairs
-the table refuses (its rank-one guard or its gap test) take the Pade
-``trace_kernels`` at N. A table does not depend on the runs before it, so
-neither does any kernel.
+dominant-mode table (``_kernels_py.mode_table_blocks``, filled from the
+same block stream: per pair the eigenvalue lam of G of largest real part
+and the weight c of its mode, K = c exp(N lam)) are therefore built once
+per (model, theta, observable, T, apparatus) and kept in a memo of the
+``_MODE_MEMO_SIZE`` = 4 most recently used keys, so the runs of an N sweep
+share them. An entry holds the reduced matrices and two complex numbers
+per computed pair (408 KiB for a full 13,041-pair grid, 5 KiB for an
+x-only one), no p or p' arrays and no exponentials. Pairs the table
+refuses (its rank-one guard or its gap test) take the Pade
+``trace_kernels`` at N, block by block. A table does not depend on the
+runs before it, so neither does any kernel.
 """
 
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 # numpy loads it lazily; load it with damlab, not inside the first run
@@ -200,28 +205,28 @@ def perturbative_kernel(run, p, pp):
     exp(-i x N <A> + (N/T) x^2 Re c + i (N/T) x (p + pp) Im c); the
     remainder of the exact kernel is O(N/T^2).
     """
+    return _perturbative_kernels(run)(p, pp)
+
+
+def _perturbative_kernels(run):
+    """``perturbative_kernel`` of a run as a function of (p, pp), its
+    coefficients computed once for every block of a grid."""
     b = run.bundle
     coeff = dissipation_coefficient(b, run.observable)
     mean_a = b.expectation(run.observable)
-    p = np.asarray(p, dtype=float)
-    pp = np.asarray(pp, dtype=float)
-    x = p - pp
-    arg = (
-        -1j * x * run.n * mean_a
-        + (run.n / run.t) * x * x * coeff.real
-        + 1j * (run.n / run.t) * x * (p + pp) * coeff.imag
-    )
-    return np.exp(arg)
 
+    def kernel(p, pp):
+        p = np.asarray(p, dtype=float)
+        pp = np.asarray(pp, dtype=float)
+        x = p - pp
+        arg = (
+            -1j * x * run.n * mean_a
+            + (run.n / run.t) * x * x * coeff.real
+            + 1j * (run.n / run.t) * x * (p + pp) * coeff.imag
+        )
+        return np.exp(arg)
 
-def _half_plane(app):
-    """Index pairs covering p_i >= p_j with x = p_i - p_j a grid multiple."""
-    k = app.p_points
-    idx_k = np.repeat(np.arange(k), np.arange(k, 0, -1))
-    # block off holds i = off, ..., k-1; it starts at off*k - off*(off-1)/2
-    starts = idx_k * k - idx_k * (idx_k - 1) // 2
-    idx_i = idx_k + np.arange(idx_k.size) - starts
-    return idx_i, idx_k
+    return kernel
 
 
 def _phi(app):
@@ -298,20 +303,61 @@ def _minimal_realization(base, lin_p, lin_pp, w, v):
     return reduced, bool(drift <= REDUCTION_RTOL * np.linalg.norm(lin_p))
 
 
-def _grid_pairs(app, x_only):
-    """(p, pp, idx) of a grid: one pair (k dp, 0) per offset k and idx None
-    when the kernel depends on p - pp alone, else every half-plane pair
-    (p_i, p_i - k dp) and idx the (idx_i, idx_k) of ``_half_plane``. So x is
-    the Fourier stage's offset k dp, dp = p_1 - p_0, up to one rounding of
-    p_i; at pp = p_j the linspace step would set x, and the phase error in
-    x N <A> would grow with k."""
+class _Block(NamedTuple):
+    """Whole offsets of a grid: the pairs ``pairs`` of the table order, with
+    their grid indices (idx_i, idx_k), None on an x-only grid, and momenta."""
+
+    offsets: slice
+    pairs: slice
+    idx_i: np.ndarray
+    idx_k: np.ndarray
+    p: np.ndarray
+    pp: np.ndarray
+
+
+# half-plane pairs per block: a complex block array takes about 64 KiB
+_BLOCK_PAIRS = 4_096
+
+
+def _half_plane_blocks(app):
+    """Yield the half-plane pairs p_i >= p_j, x = p_i - p_j = k dp, as
+    ``_Block``s of whole offsets k of at most ``_BLOCK_PAIRS`` pairs (an
+    offset of more pairs is a block alone). Pairs run by offset, then by i
+    = k..p_points - 1, the memo table's order; p is p_i and pp is p_i - k
+    dp, so x is the Fourier stage's offset k dp up to one rounding of p_i.
+    At pp = p_j the linspace step would set x, and the phase error in x N
+    <A> would grow with k."""
+    grid = app.p_grid()
+    dp = grid[1] - grid[0]
+    k = grid.size
+    # pairs before offset j: offset j holds i = j, ..., k-1
+    starts = np.concatenate([[0], np.cumsum(np.arange(k, 0, -1))])
+    first = 0
+    while first < k:
+        # the most whole offsets within the budget, and at least one
+        last = np.searchsorted(starts, starts[first] + _BLOCK_PAIRS, "right") - 1
+        stop = max(int(last), first + 1)
+        offsets = np.arange(first, stop)
+        idx_k = np.repeat(offsets, k - offsets)
+        idx_i = idx_k + np.arange(starts[first], starts[stop]) - starts[idx_k]
+        p = grid[idx_i]
+        yield _Block(
+            slice(first, stop), slice(int(starts[first]), int(starts[stop])),
+            idx_i, idx_k, p, p - dp * idx_k,
+        )
+        first = stop
+
+
+def _grid_blocks(app, x_only):
+    """The pairs of a grid as ``_Block``s: when the kernel depends on p - pp
+    alone, one block of one pair (k dp, 0) per offset k and no indices, else
+    the ``_half_plane_blocks``."""
+    if not x_only:
+        return _half_plane_blocks(app)
     p = app.p_grid()
-    dp = p[1] - p[0]
-    if x_only:
-        x = dp * np.arange(p.size)
-        return x, np.zeros_like(x), None
-    idx_i, idx_k = _half_plane(app)
-    return p[idx_i], p[idx_i] - dp * idx_k, (idx_i, idx_k)
+    x = (p[1] - p[0]) * np.arange(p.size)
+    whole = slice(0, p.size)
+    return iter([_Block(whole, whole, None, None, x, np.zeros_like(x))])
 
 
 # (model, theta, observable, T, apparatus) -> (realization, x_only, table),
@@ -333,8 +379,13 @@ def _kernel_modes(run):
     if entry is None:
         mats, x_only = _minimal_realization(*_generator_terms(run))
         base, lin_p, lin_pp, w, v = mats
-        p, pp, _ = _grid_pairs(run.apparatus, x_only)
-        entry = mats, x_only, kernels.mode_table(base, lin_p, lin_pp, p, pp, w, v)
+        app = run.apparatus
+        k = app.p_points
+        # one pair per offset, or every half-plane pair
+        size = k if x_only else k * (k + 1) // 2
+        blocks = ((b.p, b.pp) for b in _grid_blocks(app, x_only))
+        table = kernels.mode_table_blocks(base, lin_p, lin_pp, blocks, size, w, v)
+        entry = mats, x_only, table
         if len(_MODE_MEMO) >= _MODE_MEMO_SIZE:
             del _MODE_MEMO[next(iter(_MODE_MEMO))]
     _MODE_MEMO[key] = entry
@@ -354,47 +405,60 @@ def _x_only(run, kernel_source):
 
 
 def _kernels(run, kernel_source):
-    """(p, pp, K, idx): the run's kernels from ``kernel_source`` at the pairs
-    of ``_grid_pairs``, one per offset when ``_x_only`` holds (idx None),
-    else one per half-plane pair (idx = (idx_i, idx_k)).
+    """Yield (block, K): the run's kernels from ``kernel_source`` on each
+    ``_Block`` of its grid, one block of one pair per offset when ``_x_only``
+    holds, else the half-plane pairs in blocks of whole offsets.
 
-    The exact source reads K_N = c exp(N lam) from the memoized mode table;
-    the pairs it refuses go through the Pade ``trace_kernels`` at N.
+    The exact source reads K_N = c exp(N lam) from the block's slice of the
+    memoized mode table; the pairs it refuses go through the Pade
+    ``trace_kernels`` at N.
     """
-    x_only = _x_only(run, kernel_source)
-    p, pp, idx = _grid_pairs(run.apparatus, x_only)
+    blocks = _grid_blocks(run.apparatus, _x_only(run, kernel_source))
     if kernel_source == "perturbative":
-        return p, pp, perturbative_kernel(run, p, pp), idx
+        kernel = _perturbative_kernels(run)
+        for b in blocks:
+            yield b, kernel(b.p, b.pp)
+        return
     if kernel_source == "ideal":
         mean_a = run.bundle.expectation(run.observable)
-        return p, pp, np.exp(-1j * (p - pp) * run.n * mean_a), idx
-    (base, lin_p, lin_pp, w, v), _, (lam, c) = _kernel_modes(run)
+        for b in blocks:
+            yield b, np.exp(-1j * (b.p - b.pp) * run.n * mean_a)
+        return
+    (base, lin_p, lin_pp, w, v), _, table = _kernel_modes(run)
     n = run.n
-    kv = np.exp(n * lam)
-    kv *= c
-    refused = np.flatnonzero(np.isnan(lam))
-    if refused.size:
-        kv[refused] = kernels.trace_kernels(
-            n * base, n * lin_p, n * lin_pp, p[refused], pp[refused], w, v
-        )
-    return p, pp, kv, idx
+    for b in blocks:
+        lam, c = table[:, b.pairs]
+        kv = np.exp(n * lam)
+        kv *= c
+        refused = np.flatnonzero(np.isnan(lam))
+        if refused.size:
+            kv[refused] = kernels.trace_kernels(
+                n * base, n * lin_p, n * lin_pp, b.p[refused], b.pp[refused], w, v
+            )
+        yield b, kv
 
 
-def _offset_sums(f, values, idx, scale=1.0):
+def _offset_sums(f, blocks, scale=1.0):
     """S_k = scale sum_i f_i f_{i-k} values_ik for every offset k = 0..f.size-1.
 
-    values holds one entry per offset (idx None): then S_k = scale values_k
-    R_k with R_k = sum_i f_i f_{i-k}, one correlation of f. Else it holds
-    one entry per half-plane pair (idx_i, idx_k), summed per offset.
+    ``blocks`` yields (block, values) as ``_kernels`` does. An x-only block
+    holds one value per offset: then S_k = scale values_k R_k with R_k =
+    sum_i f_i f_{i-k}, one correlation of f. Else each block holds one value
+    per half-plane pair, summed per offset with one bincount; an offset lies
+    wholly in one block, so its sum runs in table order.
     """
-    if idx is None:
-        return scale * values * np.correlate(f, f, "full")[f.size - 1:]
-    idx_i, idx_k = idx
-    contrib = f[idx_i] * f[idx_i - idx_k] * values
-    return (
-        np.bincount(idx_k, weights=contrib.real, minlength=f.size)
-        + 1j * np.bincount(idx_k, weights=contrib.imag, minlength=f.size)
-    ) * scale
+    sums = np.empty(f.size, dtype=complex)
+    for b, values in blocks:
+        if b.idx_i is None:
+            return scale * values * np.correlate(f, f, "full")[f.size - 1:]
+        contrib = f[b.idx_i] * f[b.idx_i - b.idx_k] * values
+        local = b.idx_k - b.offsets.start
+        count = b.offsets.stop - b.offsets.start
+        sums[b.offsets] = (
+            np.bincount(local, weights=contrib.real, minlength=count)
+            + 1j * np.bincount(local, weights=contrib.imag, minlength=count)
+        ) * scale
+    return sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -470,8 +534,7 @@ def pointer_distribution(run, kernel_source="exact"):
         raise ValueError(f"unknown kernel source {kernel_source!r}")
     app = run.apparatus
     phi, dp = _phi(app)
-    _, _, kv, idx = _kernels(run, kernel_source)
-    c_half = _offset_sums(phi, kv, idx, scale=dp)
+    c_half = _offset_sums(phi, _kernels(run, kernel_source), scale=dp)
     q = app.q_grid(center=run.n * run.bundle.expectation(run.observable))
     step = (q[-1] - q[0]) / (q.size - 1)
     density = (dp / (2.0 * np.pi)) * _hermitian_chirp_sum(
@@ -541,10 +604,12 @@ def nonadiabaticity(run):
         raise ValueError("non-adiabaticity is defined for N=1 runs")
     phi, dp = _phi(run.apparatus)
     mean_a = run.bundle.expectation(run.observable)
-    p, pp, kv, idx = _kernels(run, "exact")
-    dev2 = np.abs(kv - np.exp(-1j * (p - pp) * mean_a)) ** 2
+    dev2 = (
+        (b, np.abs(kv - np.exp(-1j * (b.p - b.pp) * mean_a)) ** 2)
+        for b, kv in _kernels(run, "exact")
+    )
     # Delta^2 = S_0 + 2 sum_{k>0} S_k with f_i = phi_i^2 dp
-    s = _offset_sums(phi**2 * dp, dev2, idx).real
+    s = _offset_sums(phi**2 * dp, dev2).real
     s[1:] *= 2.0
     return math.sqrt(float(np.sum(s)))
 

@@ -9,11 +9,16 @@ chart can be traced back to its exact configuration.
 
 import math
 from dataclasses import dataclass, field
-from html import escape
 
 __all__ = ["LineChart", "PALETTE"]
 
 PALETTE = ("#0072b2", "#d55e00", "#009e73", "#cc79a7", "#e69f00", "#56b4e9")
+
+
+def _escape(text):
+    """Text content for XML: &, < and > as entities, quotes kept, as
+    ``html.escape(text, quote=False)`` gives without loading html.entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(v):
@@ -170,7 +175,7 @@ class LineChart:
             f'font-family="sans-serif">',
         ]
         if desc:
-            out.append(f"<desc>{escape(desc, quote=False)}</desc>")
+            out.append(f"<desc>{_escape(desc)}</desc>")
         out.append(
             f'<rect x="0" y="0" width="{self.width}" height="{self.height}" '
             'fill="#ffffff"/>'
@@ -178,7 +183,7 @@ class LineChart:
         if self.title:
             out.append(
                 f'<text x="{_fmt(ml + pw / 2)}" y="24" text-anchor="middle" '
-                f'font-size="15">{escape(self.title, quote=False)}</text>'
+                f'font-size="15">{_escape(self.title)}</text>'
             )
 
         xticks = _log_ticks(x0, x1) if self.xlog else _linear_ticks(x0, x1)
@@ -209,12 +214,12 @@ class LineChart:
         )
         out.append(
             f'<text x="{_fmt(ml + pw / 2)}" y="{_fmt(self.height - 12)}" '
-            f'text-anchor="middle" font-size="13">{escape(self.xlabel, quote=False)}</text>'
+            f'text-anchor="middle" font-size="13">{_escape(self.xlabel)}</text>'
         )
         out.append(
             f'<text x="18" y="{_fmt(mt + ph / 2)}" text-anchor="middle" '
             f'font-size="13" transform="rotate(-90 18 {_fmt(mt + ph / 2)})">'
-            f"{escape(self.ylabel, quote=False)}</text>"
+            f"{_escape(self.ylabel)}</text>"
         )
 
         for xv, vlabel in self.vlines:
@@ -231,7 +236,7 @@ class LineChart:
             if vlabel:
                 out.append(
                     f'<text x="{_fmt(px + 4)}" y="{_fmt(mt + 14)}" '
-                    f'font-size="11" fill="#555555">{escape(vlabel, quote=False)}</text>'
+                    f'font-size="11" fill="#555555">{_escape(vlabel)}</text>'
                 )
 
         for s in self.series:
@@ -265,7 +270,7 @@ class LineChart:
             )
             out.append(
                 f'<text x="{_fmt(lx + 30)}" y="{_fmt(ly + 4)}" font-size="12">'
-                f"{escape(s.label, quote=False)}</text>"
+                f"{_escape(s.label)}</text>"
             )
             ly += 18
 

@@ -66,6 +66,18 @@ def gad_pinv_action(x, theta):
     return np.trace(x) * rho - x - P0 @ x @ P1 - P1 @ x @ P0
 
 
+def half_plane(app):
+    """Index pairs (idx_i, idx_k) of every half-plane pair p_i >= p_{i-k} of
+    an apparatus's p grid, by offset k, then by i = k, ..., p_points - 1, in
+    one pass over the whole grid."""
+    k = app.p_points
+    idx_k = np.repeat(np.arange(k), np.arange(k, 0, -1))
+    # offset off holds i = off, ..., k-1; it starts at off*k - off*(off-1)/2
+    starts = idx_k * k - idx_k * (idx_k - 1) // 2
+    idx_i = idx_k + np.arange(idx_k.size) - starts
+    return idx_i, idx_k
+
+
 def dense_hermitian_sum(c, dp, q0, dq, count):
     """Re c[0] + 2 Re sum_{n>0} c[n] exp(i q_m n dp) at q_m = q0 + m dq, m < count,
     by mirroring c to c[-n] = conj c[n] and one dense exp(i q x) phase matrix."""

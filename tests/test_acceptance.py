@@ -83,9 +83,8 @@ def test_c10_reruns_are_byte_identical_from_an_empty_memo(monkeypatch):
     # the mode-table memo serves check 10's second and third sweep otherwise;
     # emptied before each, every rerun builds its own tables
     blobs, builds, built = [], [], []
-    sweep, write, build = (
-        acceptance.nonadiabaticity_sweep, acceptance.sweep_csv, kernels.mode_table
-    )
+    sweep, write = acceptance.nonadiabaticity_sweep, acceptance.sweep_csv
+    build = kernels.mode_table_blocks
 
     def fresh_sweep(scn):
         pointer._MODE_MEMO.clear()
@@ -104,7 +103,7 @@ def test_c10_reruns_are_byte_identical_from_an_empty_memo(monkeypatch):
 
     monkeypatch.setattr(acceptance, "nonadiabaticity_sweep", fresh_sweep)
     monkeypatch.setattr(acceptance, "sweep_csv", kept_csv)
-    monkeypatch.setattr(kernels, "mode_table", counted_build)
+    monkeypatch.setattr(kernels, "mode_table_blocks", counted_build)
     (res,) = run_checks(VerifyParams(), checks=[10])
     assert res.passed, res.metrics
     # two T values per sweep, each its own table

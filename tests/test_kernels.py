@@ -13,14 +13,14 @@ from damlab.pointer import (
     ApparatusConfig,
     DamRun,
     _generator_terms,
-    _half_plane,
     _minimal_realization,
     default_apparatus,
     pointer_distribution,
 )
 from damlab.scenario import load_model_file
 
-from test_pointer import A_TILTED, CONFIGS, driven_model
+from oracles import half_plane
+from test_pointer import A_TILTED, CONFIGS, driven_model, grid_kernels
 
 
 def random_batch(rng, n, m, scale=1.0):
@@ -195,7 +195,7 @@ def _driven_half_plane():
     (base, lin_p, lin_pp, w, v), x_only = _minimal_realization(*_generator_terms(run))
     assert base.shape == (4, 4) and not x_only
     p = app.p_grid()
-    idx_i, idx_k = _half_plane(app)
+    idx_i, idx_k = half_plane(app)
     return base, lin_p, lin_pp, p[idx_i], p[idx_i - idx_k], w, v
 
 
@@ -244,6 +244,19 @@ def test_mode_table_matches_pade_and_ignores_batching(monkeypatch):
         assert np.array_equal(alone[:, 0], table[:, j])
     monkeypatch.setattr(_kernels_py, "_BATCH_ELEMENTS", 16 * 97)
     assert np.array_equal(_kernels_py.mode_table(*args), table)
+
+
+def test_mode_table_blocks_fill_one_table_from_any_cut():
+    base, lin_p, lin_pp, p, pp, w, v = _driven_half_plane()
+    p, pp = p[:700], pp[:700]
+    table = _kernels_py.mode_table(base, lin_p, lin_pp, p, pp, w, v)
+    cuts = [0, 1, 2, 300, 301, 557, 700]
+    blocks = [(p[a:b], pp[a:b]) for a, b in zip(cuts, cuts[1:])]
+    streamed = _kernels_py.mode_table_blocks(base, lin_p, lin_pp, iter(blocks), 700, w, v)
+    assert np.array_equal(streamed, table)
+    for size in (699, 701):
+        with pytest.raises(ValueError, match="blocks hold"):
+            _kernels_py.mode_table_blocks(base, lin_p, lin_pp, blocks, size, w, v)
 
 
 @pytest.mark.parametrize("m", [5, 6, 9])
@@ -376,7 +389,7 @@ def test_mode_table_serves_the_driven_file_grid(monkeypatch, t):
     (base, lin_p, lin_pp, w, v), x_only = _minimal_realization(*_generator_terms(run))
     assert base.shape == (4, 4) and not x_only
     p = app.p_grid()
-    idx_i, idx_k = _half_plane(app)
+    idx_i, idx_k = half_plane(app)
     p, pp = p[idx_i], p[idx_i - idx_k]
     with monkeypatch.context() as patch:
         for name in ("_pade13", "_expm", "_squarings"):
@@ -403,7 +416,7 @@ def test_mode_table_refusals_on_the_driven_file_grid(monkeypatch, t):
     refused = np.isnan(lam)
     assert lam.size == 13_041
     assert refused.sum() == {50.0: 13_041, 100.0: 12_593}[t]
-    kv = pointer._kernels(run, "exact")[2][refused]
+    kv = grid_kernels(run, "exact")[2][refused]
     # K(p, p') is a matrix element of the pointer's state: |K| <= K(p, p) = 1
     assert np.isfinite(kv).all() and np.abs(kv).max() <= 1.0 + 1e-12
 
@@ -415,23 +428,26 @@ def test_pointer_grids_call_the_backend_kernels_attribute(monkeypatch):
     assert damlab.KERNEL_BACKEND == "python"
     assert backend.kernels is _kernels_py
     seen = []
+    build, pade = _kernels_py.mode_table_blocks, _kernels_py.trace_kernels
 
-    def spy(name):
-        original = getattr(_kernels_py, name)
+    def table_spy(base, lin_p, lin_pp, blocks, size, w, v):
+        blocks = list(blocks)
+        p, pp = (np.concatenate(x) for x in zip(*blocks))
+        assert p.size == size
+        seen.append(("mode_table_blocks", np.array(base), p, pp))
+        return build(base, lin_p, lin_pp, blocks, size, w, v)
 
-        def call(base, lin_p, lin_pp, p, pp, w, v):
-            seen.append((name, np.array(base), np.array(p), np.array(pp)))
-            return original(base, lin_p, lin_pp, p, pp, w, v)
+    def pade_spy(base, lin_p, lin_pp, p, pp, w, v):
+        seen.append(("trace_kernels", np.array(base), np.array(p), np.array(pp)))
+        return pade(base, lin_p, lin_pp, p, pp, w, v)
 
-        return call
-
-    for name in ("mode_table", "trace_kernels"):
-        monkeypatch.setattr(backend.kernels, name, spy(name))
+    monkeypatch.setattr(backend.kernels, "mode_table_blocks", table_spy)
+    monkeypatch.setattr(backend.kernels, "trace_kernels", pade_spy)
     monkeypatch.setattr(pointer, "_MODE_MEMO", {})
 
     def grid_calls():
         (name, base, p, pp), rest = seen[0], seen[1:]
-        assert name == "mode_table"
+        assert name == "mode_table_blocks"
         pairs = set(zip(p.tolist(), pp.tolist()))
         for name, pade_base, pade_p, pade_pp in rest:
             # N = 1: the Pade generator is the table's

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from damlab.pointer import (
     ApparatusConfig,
     DamRun,
     _generator_terms,
-    _half_plane,
     _hermitian_chirp_sum,
     _minimal_realization,
     coupled_generator,
@@ -45,6 +45,7 @@ from oracles import (
     SIGMA_PLUS,
     dense_hermitian_sum,
     extended_hermitian_sum,
+    half_plane,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -517,6 +518,18 @@ def _pair_path():
         yield
 
 
+def grid_kernels(run, kernel_source):
+    """(p, pp, K, idx) of ``pointer._kernels`` with its blocks concatenated:
+    idx None on an x-only grid, else (idx_i, idx_k) of every half-plane pair."""
+    blocks, kvs = zip(*pointer._kernels(run, kernel_source))
+
+    def joined(name):
+        return np.concatenate([getattr(b, name) for b in blocks])
+
+    idx = None if blocks[0].idx_i is None else (joined("idx_i"), joined("idx_k"))
+    return joined("p"), joined("pp"), np.concatenate(kvs), idx
+
+
 def _first_of_offset(idx_k, k):
     """Index of the first half-plane pair of every offset 0..k-1."""
     first = np.empty(k, dtype=np.int64)
@@ -534,13 +547,13 @@ def test_reduced_grid_matches_dense_oracle(run_and_kind):
         reject()
     app = run.apparatus
     with _pair_path():
-        p1, p2, kv, (idx_i, idx_k) = pointer._kernels(run, "exact")
+        p1, p2, kv, (idx_i, idx_k) = grid_kernels(run, "exact")
         lam = pointer._kernel_modes(run)[2][0]
     oracle = np.array([trace_kernel(run, x, y) for x, y in zip(p1, p2)])
     assert np.abs(kv - oracle).max() <= 1e-12
     # the kernels production computes: on an x-only run one per offset,
     # held at every half-plane pair of its offset
-    _, _, kv_run, idx = pointer._kernels(run, "exact")
+    _, _, kv_run, idx = grid_kernels(run, "exact")
     if idx is None:
         kv_run = kv_run[idx_k]
     assert np.abs(kv_run - oracle).max() <= 1e-12
@@ -581,16 +594,16 @@ def test_mode_table_matches_dense_oracle():
             reject()
         ns = (1, 2, 5, 10, 50)
         with _pair_path():
-            p1, p2, _, (_, idx_k) = pointer._kernels(run, "exact")
+            p1, p2, _, (_, idx_k) = grid_kernels(run, "exact")
             mode = ~np.isnan(pointer._kernel_modes(run)[2][0])
             # every N reads the one table, as in a sweep
-            kvs = {n: pointer._kernels(dataclasses.replace(run, n=n), "exact")[2]
+            kvs = {n: grid_kernels(dataclasses.replace(run, n=n), "exact")[2]
                    for n in ns}
         served["mode"] += int(mode.sum())
         served["pade"] += int((~mode).sum())
         # the kernels production computes: on an x-only run one per offset,
         # from its own table, held at every half-plane pair of its offset
-        runs = {n: pointer._kernels(dataclasses.replace(run, n=n), "exact")
+        runs = {n: grid_kernels(dataclasses.replace(run, n=n), "exact")
                 for n in ns}
         if runs[1][3] is None:
             kvs_run = {n: out[2][idx_k] for n, out in runs.items()}
@@ -663,7 +676,7 @@ def _densities_and_delta(run):
 def test_offset_path_matches_pair_path(run):
     assert all(pointer._x_only(run, source) for source in SOURCES)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pointer, "_half_plane", _forbidden)
+        mp.setattr(pointer, "_half_plane_blocks", _forbidden)
         offsets, delta = _densities_and_delta(run)
     # the pair path, its table built and summed pair by pair, is the oracle
     with _pair_path():
@@ -697,20 +710,24 @@ def test_every_pair_sits_on_its_offset(monkeypatch):
     run = DamRun(model, [0.3], observables["tilted"], t=500.0, n=5.0, apparatus=app)
     monkeypatch.setattr(pointer, "_MODE_MEMO", {})
     tables = []
-    mode_table = kernels.mode_table
-    monkeypatch.setattr(
-        kernels, "mode_table", lambda *args: tables.append(args[3:5]) or mode_table(*args)
-    )
+    build = kernels.mode_table_blocks
+
+    def spy(base, lin_p, lin_pp, blocks, size, w, v):
+        blocks = list(blocks)
+        tables.append(tuple(np.concatenate(x) for x in zip(*blocks)))
+        return build(base, lin_p, lin_pp, blocks, size, w, v)
+
+    monkeypatch.setattr(kernels, "mode_table_blocks", spy)
     p = app.p_grid()
     dp = p[1] - p[0]
-    _, idx_k = _half_plane(app)
+    _, idx_k = half_plane(app)
     ulp = np.spacing(app.p_halfwidth)
-    _, _, _, idx = pointer._kernels(run, "exact")
+    _, _, _, idx = grid_kernels(run, "exact")
     assert np.array_equal(idx[1], idx_k)
     [(p1, p2)] = tables
     assert p1.size == idx_k.size
     assert np.abs((p1 - p2) - idx_k * dp).max() <= ulp
-    p1, p2, _, (_, k) = pointer._kernels(run, "perturbative")
+    p1, p2, _, (_, k) = grid_kernels(run, "perturbative")
     assert np.array_equal(k, idx_k)
     assert np.abs((p1 - p2) - idx_k * dp).max() <= ulp
 
@@ -722,8 +739,10 @@ def test_driven_tilted_run_takes_the_pair_path(monkeypatch):
     assert not pointer._x_only(run, "perturbative")
     assert pointer._x_only(run, "ideal")
     formed = []
-    half_plane = pointer._half_plane
-    monkeypatch.setattr(pointer, "_half_plane", lambda app: formed.append(app) or half_plane(app))
+    blocks = pointer._half_plane_blocks
+    monkeypatch.setattr(
+        pointer, "_half_plane_blocks", lambda app: formed.append(app) or blocks(app)
+    )
     for source in SOURCES:
         formed.clear()
         pointer_distribution(run, source)
@@ -827,8 +846,78 @@ def test_half_plane_matches_block_enumeration(k):
     app = ApparatusConfig(
         sigma=0.1, p_halfwidth=3.0, p_points=k, q_halfwidth=1.0, q_points=16
     )
-    idx_i, idx_k = _half_plane(app)
+    idx_i, idx_k = half_plane(app)
     want_i = np.concatenate([np.arange(off, k) for off in range(k)])
     want_k = np.concatenate([np.full(k - off, off) for off in range(k)])
     assert np.array_equal(idx_i, want_i) and idx_i.dtype == want_i.dtype
     assert np.array_equal(idx_k, want_k) and idx_k.dtype == want_k.dtype
+
+
+@pytest.mark.parametrize("budget", [1, 7, 40, 4_096])
+@pytest.mark.parametrize("k", [3, 9, 161])
+def test_half_plane_blocks_follow_the_table_order(k, budget, monkeypatch):
+    monkeypatch.setattr(pointer, "_BLOCK_PAIRS", budget)
+    app = ApparatusConfig(
+        sigma=0.1, p_halfwidth=3.0, p_points=k, q_halfwidth=1.0, q_points=16
+    )
+    grid = app.p_grid()
+    dp = grid[1] - grid[0]
+    blocks = list(pointer._half_plane_blocks(app))
+    idx_i, idx_k = half_plane(app)
+    for name, want in (("idx_i", idx_i), ("idx_k", idx_k)):
+        got = np.concatenate([getattr(b, name) for b in blocks])
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+    offsets, pairs = 0, 0
+    for b in blocks:
+        # whole offsets, each in one block, consecutive in the table order
+        assert b.offsets.start == offsets and b.pairs.start == pairs
+        assert np.array_equal(np.unique(b.idx_k), np.arange(offsets, b.offsets.stop))
+        size = b.pairs.stop - b.pairs.start
+        assert b.idx_i.size == size and (size <= budget or b.offsets.stop == offsets + 1)
+        assert np.array_equal(b.p, grid[b.idx_i])
+        assert np.array_equal(b.pp, grid[b.idx_i] - dp * b.idx_k)
+        offsets, pairs = b.offsets.stop, b.pairs.stop
+    assert offsets == k and pairs == idx_k.size
+
+
+def test_streamed_blocks_are_exact(monkeypatch):
+    # the driven/tilted grid, whose kernels and perturbative kernel (Im c != 0)
+    # depend on p + p': cut into blocks of at most 7 pairs, the leading
+    # offsets of 161 to 8 pairs are each a block alone and the last ones share
+    # blocks; table, densities and Delta are the bits of the default blocks
+    run = _driven_file_run(5.0)
+    assert dissipation_coefficient(run.bundle, run.observable).imag != 0.0
+    n1 = dataclasses.replace(run, n=1.0)
+
+    def outputs():
+        monkeypatch.setattr(pointer, "_MODE_MEMO", {})
+        table = pointer._kernel_modes(run)[2]
+        dists = [pointer_distribution(run, s).density for s in ("exact", "perturbative")]
+        return table, dists, nonadiabaticity(n1)
+
+    table, dists, delta = outputs()
+    monkeypatch.setattr(pointer, "_BLOCK_PAIRS", 7)
+    blocks = [(b.offsets, b.idx_k.size) for b in pointer._half_plane_blocks(run.apparatus)]
+    assert (slice(0, 1), 161) in blocks
+    assert any(offsets.stop - offsets.start > 1 for offsets, _ in blocks)
+    small_table, small_dists, small_delta = outputs()
+    assert np.array_equal(small_table, table, equal_nan=True)
+    for got, want in zip(small_dists, dists):
+        assert np.array_equal(got, want)
+    assert small_delta == delta
+
+
+def test_warm_pair_grid_peak_memory_stays_small(monkeypatch):
+    # a 481-point grid has 115,921 half-plane pairs; built as whole-grid
+    # arrays, one warm exact distribution traced a peak of 7.2 MiB
+    monkeypatch.setattr(pointer, "_MODE_MEMO", {})
+    app = dataclasses.replace(default_apparatus(0.1), p_points=481)
+    run = dataclasses.replace(_driven_file_run(5.0), apparatus=app)
+    pointer_distribution(run)
+    tracemalloc.start()
+    try:
+        pointer_distribution(run)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"traced peak {peak / 2**20:.2f} MiB"

@@ -251,6 +251,17 @@ def test_linechart_renders_series_and_desc():
     assert "mark" in svg
 
 
+@pytest.mark.parametrize("text", ["a & b", "<&amp;>", "\"q\" 'r' >"])
+def test_linechart_escapes_text_as_html_escape_without_quotes(text):
+    from html import escape
+
+    chart = LineChart(title=text, xlabel=text, ylabel=text)
+    chart.add(text, [1.0, 2.0], [1.0, 2.0])
+    chart.add_vline(1.5, text)
+    svg = chart.render(desc=text)
+    assert svg.count(f">{escape(text, quote=False)}</") == 6
+
+
 def test_linechart_skips_nonfinite_and_nonpositive():
     chart = LineChart(ylog=True)
     chart.add("s", [1.0, 2.0, 3.0, 4.0], [1.0, float("nan"), -1.0, 2.0])
