@@ -357,7 +357,7 @@ def _grid_blocks(app, x_only):
     p = app.p_grid()
     x = (p[1] - p[0]) * np.arange(p.size)
     whole = slice(0, p.size)
-    return iter([_Block(whole, whole, None, None, x, np.zeros_like(x))])
+    return [_Block(whole, whole, None, None, x, np.zeros_like(x))]
 
 
 # (model, theta, observable, T, apparatus) -> (realization, x_only, table),
