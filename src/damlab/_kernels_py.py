@@ -103,6 +103,8 @@ depends on the batch, and every operand is contiguous, so a pair's mode is
 the same bits in any batch, down to a batch of one pair.
 """
 
+import math
+
 import numpy as np
 
 __all__ = ["expm_batch", "mode_table", "mode_table_blocks", "trace_kernels"]
@@ -141,15 +143,24 @@ _B = (
 )
 
 
-def _mul(x, y):
+def _mul(x, y, out=None, scratch=None):
     """x @ y for every pair of matrices of two (m, m, n) batches: m broadcast
-    multiply-adds up to _BROADCAST_MAX_DIM, one BLAS call per matrix above."""
+    multiply-adds up to _BROADCAST_MAX_DIM, one BLAS call per matrix above.
+
+    Given out (and, for the multiply-adds, scratch), both contiguous
+    (m, m, n), the product is written to out; without, it is allocated, and
+    a BLAS product is a strided view.
+    """
     m = x.shape[0]
     if m > _BROADCAST_MAX_DIM:
-        return np.matmul(x.transpose(2, 0, 1), y.transpose(2, 0, 1)).transpose(1, 2, 0)
-    out = x[:, 0, None] * y[None, 0]
+        prod = np.matmul(x.transpose(2, 0, 1), y.transpose(2, 0, 1)).transpose(1, 2, 0)
+        if out is None:
+            return prod
+        np.copyto(out, prod)
+        return out
+    out = np.multiply(x[:, 0, None], y[None, 0], out=out)
     for j in range(1, m):
-        out += x[:, j, None] * y[None, j]
+        out += np.multiply(x[:, j, None], y[None, j], out=scratch)
     return out
 
 
@@ -179,9 +190,10 @@ def _pade13(a):
     return np.ascontiguousarray(np.linalg.solve(q, p).transpose(1, 2, 0))
 
 
-def _one_norms(a):
-    """1-norm of every matrix of a batch; raises on non-finite entries."""
-    norms = np.abs(a).sum(axis=0).max(axis=0)
+def _one_norms(a, scratch=None):
+    """1-norm of every matrix of a batch; raises on non-finite entries.
+    scratch, a float array of a's shape, takes |a| if given."""
+    norms = np.abs(a, out=scratch).sum(axis=0).max(axis=0)
     if not np.all(np.isfinite(norms)):
         raise ValueError("non-finite entries in matrix batch")
     return norms
@@ -218,20 +230,35 @@ def expm_batch(a):
     return _expm(a.transpose(1, 2, 0)).transpose(2, 0, 1)
 
 
-def _generator_chunks(base, lin_p, lin_pp, p, pp):
-    """Yield (lo, hi, g): g = base + p_j lin_p + pp_j lin_pp for the pairs
-    lo..hi-1 of a grid, one (m, m, hi - lo) batch of ``_BATCH_ELEMENTS``."""
-    base, lin_p, lin_pp = (
-        np.asarray(x, dtype=complex)[..., None] for x in (base, lin_p, lin_pp)
-    )
+def _batch_pairs(m):
+    """Pairs per batch of (m, m) matrices: ``_BATCH_ELEMENTS`` complex numbers."""
+    return max(1, _BATCH_ELEMENTS // m**2)
+
+
+def _batches(m, p, pp):
+    """Yield (lo, hi, p[lo:hi], pp[lo:hi]) for the batches of a grid's pairs."""
     p = np.asarray(p, dtype=float)
     pp = np.asarray(pp, dtype=float)
     if p.shape != pp.shape:
         raise ValueError("p and pp must have equal length")
-    chunk = max(1, _BATCH_ELEMENTS // base.shape[0] ** 2)
+    chunk = _batch_pairs(m)
     for lo in range(0, p.size, chunk):
         hi = min(p.size, lo + chunk)
-        yield lo, hi, base + p[lo:hi] * lin_p + pp[lo:hi] * lin_pp
+        yield lo, hi, p[lo:hi], pp[lo:hi]
+
+
+def _generators(base, lin_p, lin_pp, p, pp, out=None, scratch=None):
+    """base + p_j lin_p + pp_j lin_pp for every pair, an (m, m, n) batch from
+    (m, m, 1) terms; formed in out, with scratch, if they are given."""
+    g = np.multiply(p, lin_p, out=out)
+    np.add(base, g, out=g)
+    g += np.multiply(pp, lin_pp, out=scratch)
+    return g
+
+
+def _view(buf, shape, dtype=complex):
+    """The contiguous array of shape and dtype at the start of a flat buffer."""
+    return buf.view(dtype)[:math.prod(shape)].reshape(shape)
 
 
 def _ordered_sum(x):
@@ -247,15 +274,16 @@ def _ordered_sum(x):
     return out
 
 
-def _matvec(a, x):
+def _matvec(a, x, scratch=None):
     """a . x for every pair: a batch (m, m, n) or one matrix (m, m, 1), and
-    x one vector (m, 1) or one per pair (m, n)."""
-    return _ordered_sum(np.swapaxes(a * x, 0, 1))
+    x one vector (m, 1) or one per pair (m, n). scratch, (m, m, n), takes
+    the products if given."""
+    return _ordered_sum(np.swapaxes(np.multiply(a, x, out=scratch), 0, 1))
 
 
-def _contract(e, w, v):
+def _contract(e, w, v, scratch=None):
     """w . E_j . v for every matrix of a batch."""
-    return _ordered_sum(w[:, None] * _matvec(e, v[:, None]))
+    return _ordered_sum(w[:, None] * _matvec(e, v[:, None], scratch))
 
 
 def trace_kernels(base, lin_p, lin_pp, p, pp, w, v):
@@ -267,16 +295,18 @@ def trace_kernels(base, lin_p, lin_pp, p, pp, w, v):
     """
     w = np.asarray(w, dtype=complex)
     v = np.asarray(v, dtype=complex)
+    terms = [np.asarray(x, dtype=complex)[..., None] for x in (base, lin_p, lin_pp)]
     out = np.empty(np.size(p), dtype=complex)
-    for lo, hi, g in _generator_chunks(base, lin_p, lin_pp, p, pp):
-        out[lo:hi] = _contract(_expm(g), w, v)
+    for lo, hi, p_j, pp_j in _batches(terms[0].shape[0], p, pp):
+        out[lo:hi] = _contract(_expm(_generators(*terms, p_j, pp_j)), w, v)
     return out
 
 
-def _largest_part(x):
-    """Largest |Re| or |Im| of an entry of every matrix in a batch."""
-    # a BLAS product (m > 4) is a strided view, which .view(float) refuses
-    y = np.abs(np.ascontiguousarray(x).view(float))
+def _largest_part(x, scratch=None):
+    """Largest |Re| or |Im| of an entry of every matrix in a contiguous
+    batch. scratch, a float array of x.view(float)'s shape, may be x's own
+    memory; it takes the absolute values if given."""
+    y = np.abs(x.view(float), out=scratch)
     y = y.reshape(-1, y.shape[-1]).max(axis=0)
     return np.maximum(y[0::2], y[1::2])
 
@@ -313,7 +343,7 @@ def _eigenbasis(base, lin_p, lin_pp):
     return x, y, terms, shift
 
 
-def _gap_ok(e, lam, p, pp, basis):
+def _gap_ok(e, lam, p, pp, basis, free):
     """Whether every other eigenvalue of each G lies _MODE_GAP left of lam.
 
     The columns of e, a converged power of the resolvent, are the right
@@ -321,14 +351,22 @@ def _gap_ok(e, lam, p, pp, basis):
     r' = X^-1 r with r'_0 = 1; the deflated block
     M = G'[1:, 1:] - r'[1:] G'[0, 1:] has exactly the other eigenvalues of G,
     and Gershgorin's discs of its rows, or of its columns, bound them.
+    free holds three flat workspace buffers of at least e's size, which take
+    G', the products and M, and |M|.
     """
     x, y, (d, a, b), _ = basis
-    r = _matvec(y[..., None], _matvec(e, x[:, :1]))
-    gp = d[..., None] + p * a[..., None] + pp * b[..., None]
+    m, n = e.shape[1:]
+    gp_buf, tmp_buf, size_buf = free
+    tmp = _view(tmp_buf, e.shape)
+    r = _matvec(y[..., None], _matvec(e, x[:, :1], tmp), tmp)
+    gp = _view(gp_buf, e.shape)
+    _generators(d[..., None], a[..., None], b[..., None], p, pp, gp, tmp)
     # a vanishing r'_0 leaves non-finite discs, which fail the test
     with np.errstate(divide="ignore", invalid="ignore"):
-        mm = gp[1:, 1:] - (r[1:] / r[0])[:, None] * gp[0, 1:]
-        size = np.abs(mm)
+        mm = _view(tmp_buf, (m - 1, m - 1, n))
+        np.multiply((r[1:] / r[0])[:, None], gp[0, 1:], out=mm)
+        np.subtract(gp[1:, 1:], mm, out=mm)
+        size = np.abs(mm, out=_view(size_buf, mm.shape, float))
         diag = np.diagonal(mm).T
         # right edge of a disc: Re M_ii + sum of |M_ij| over j != i
         right = diag.real - np.abs(diag) - (lam.real - _MODE_GAP)
@@ -337,43 +375,52 @@ def _gap_ok(e, lam, p, pp, basis):
     return rows | cols
 
 
-def _modes(g, p, pp, basis, w, v):
-    """Rows (lam, c) of the dominant mode of every G in a batch, NaN where
-    the rank-one guard or the gap test refuses the pair."""
-    m, n = g.shape[1:]
+def _modes(terms, p, pp, basis, w, v, ws):
+    """Rows (lam, c) of the dominant mode of every G = base + p_j lin_p +
+    pp_j lin_pp in a batch, NaN where the rank-one guard or the gap test
+    refuses the pair. terms are the (m, m, 1) base, lin_p and lin_pp, and
+    ws the five flat buffers of the table's workspace."""
+    m, n = terms[0].shape[0], p.size
+    g, e, e2, e_read, tmp = (_view(buf, (m, m, n)) for buf in ws)
+    _generators(*terms, p, pp, g, tmp)
     beta0, a1, b1, a2, ab2, b2 = basis[3]
     # a real offset to the right keeps every shifted matrix regular, even
     # where sigma is lam (p = pp, or a diagonal G)
     shift = beta0 + p * (a1 + p * a2) + pp * (b1 + p * ab2 + pp * b2)
-    shift += _SHIFT_OFFSET * _one_norms(g) + np.finfo(float).tiny
-    h = g.copy()
-    h[np.arange(m), np.arange(m)] -= shift
-    e = np.ascontiguousarray(np.linalg.inv(h.transpose(2, 0, 1)).transpose(1, 2, 0))
+    # E's memory is free until the inverse fills it
+    norms = _one_norms(g, _view(ws[1], g.shape, float))
+    shift += _SHIFT_OFFSET * norms + np.finfo(float).tiny
+    np.copyto(tmp, g)
+    tmp.reshape(m * m, n)[:: m + 1] -= shift
+    np.copyto(e, np.linalg.inv(tmp.transpose(2, 0, 1)).transpose(1, 2, 0))
     # E^2 and tr(E^2) of the pairs the guard accepts, at the round it does
-    e_read = np.zeros_like(e)
+    e_read.fill(0)
     tr_read = np.zeros(n, dtype=complex)
     accepted = np.zeros(n, dtype=bool)
     live = np.ones(n, dtype=bool)
     for _ in range(_MODE_ROUNDS):
-        e *= 1.0 / _largest_part(e)
+        # E^2's memory is free until the product fills it
+        e *= 1.0 / _largest_part(e, e2.view(float))
         tr = _ordered_sum(np.ascontiguousarray(np.diagonal(e).T))
-        e2 = _mul(e, e)
+        _mul(e, e, e2, tmp)
         size = np.abs(tr)
         live &= size >= MODE_TOL
-        ok = live & (_largest_part(e2 - e * tr) < MODE_TOL * size * size)
-        e_read[..., ok] = e2[..., ok]
+        np.subtract(e2, np.multiply(e, tr, out=tmp), out=tmp)
+        ok = live & (_largest_part(tmp, tmp.view(float)) < MODE_TOL * size * size)
+        np.copyto(e_read, e2, where=ok)
         tr_read[ok] = _ordered_sum(np.ascontiguousarray(np.diagonal(e2).T))[ok]
         accepted |= ok
         live &= ~ok
         if not live.any():
             break
-        e = e2
+        e, e2 = e2, e
     # pairs never accepted read 0 / 0 here and are refused below
     with np.errstate(divide="ignore", invalid="ignore"):
-        g_e = _ordered_sum((g * np.swapaxes(e_read, 0, 1)).reshape(m * m, -1))
-        lam = g_e / tr_read
-        c = _contract(e_read, w, v) / tr_read
-    served = accepted & _gap_ok(e_read, lam, p, pp, basis)
+        g_e = np.multiply(g, np.swapaxes(e_read, 0, 1), out=tmp)
+        lam = _ordered_sum(g_e.reshape(m * m, -1)) / tr_read
+        c = _contract(e_read, w, v, tmp) / tr_read
+    # after the rounds, g, E, E^2 and the temporary are all free
+    served = accepted & _gap_ok(e_read, lam, p, pp, basis, (ws[0], ws[4], ws[1]))
     return np.where(served, np.stack([lam, c]), np.nan)
 
 
@@ -400,18 +447,25 @@ def mode_table_blocks(base, lin_p, lin_pp, blocks, size, w, v):
     """
     w = np.asarray(w, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    basis = _eigenbasis(*(np.asarray(x, dtype=complex) for x in (base, lin_p, lin_pp)))
+    terms = [np.asarray(x, dtype=complex) for x in (base, lin_p, lin_pp)]
+    basis = _eigenbasis(*terms)
     table = np.full((2, size), np.nan, dtype=complex)
+    m = terms[0].shape[0]
+    # g, E, E^2, the accepted E^2 and a temporary, reused by every batch: a
+    # batch's matrices freed at the heap top are trimmed and faulted in again
+    # by the next. Five arrays of at most _BATCH_ELEMENTS, not one arena, so
+    # each comes from the heap, below glibc's mmap threshold
+    ws = [np.empty(m * m * min(_batch_pairs(m), size), dtype=complex) for _ in range(5)]
+    terms = [x[..., None] for x in terms]
     start = 0
     for p, pp in blocks:
         p = np.asarray(p, dtype=float)
-        pp = np.asarray(pp, dtype=float)
         if start + p.size > size:
             raise ValueError(f"blocks hold more than {size} pairs")
-        for lo, hi, g in _generator_chunks(base, lin_p, lin_pp, p, pp):
+        for lo, hi, p_j, pp_j in _batches(m, p, pp):
             if basis is not None:
                 table[:, start + lo:start + hi] = _modes(
-                    g, p[lo:hi], pp[lo:hi], basis, w, v
+                    terms, p_j, pp_j, basis, w, v, ws
                 )
         start += p.size
     if start != size:

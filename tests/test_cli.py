@@ -570,6 +570,31 @@ def test_a_run_loads_neither_numpy_random_nor_openssl(tmp_path):
     assert out.stdout.splitlines()[-1] == "0 []"
 
 
+def test_steady_link_call_does_not_refault_its_table_memory(tmp_path):
+    # perfbench's order on its steady-link scenario: import the CLI, load the
+    # scenario, then one main call. The mode table reuses one workspace across
+    # its 52 batches, 1,100-1,700 minor faults for the call; when each batch
+    # allocated its scratch, glibc trimmed it from the heap top after the
+    # batch and the next faulted it in again, 4,100-6,200 faults
+    pytest.importorskip("resource")
+    config = CONFIG_DIR.parent / "perfbench" / "scenarios" / "steady_link.ini"
+    argv = ["scaling", "--config", str(config), "--out", str(tmp_path), "--seed", "1"]
+    code = (
+        "import resource, damlab.cli\n"
+        "from damlab.scenario import load_scenario\n"
+        f"load_scenario({str(config)!r}, seed=1, out_dir={str(tmp_path)!r})\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        f"code = damlab.cli.main({argv!r})\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=fresh_env())
+    assert out.returncode == 0, out.stderr
+    exit_code, faults = map(int, out.stdout.split()[-2:])
+    assert exit_code == 0
+    assert faults < 2_500
+
+
 def test_blas_threads_do_not_change_the_csv(tmp_path):
     # driven_demo's tilted grid is 4x4 and depends on p + p': the pair path
     written = []

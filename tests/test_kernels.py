@@ -259,11 +259,12 @@ def test_mode_table_blocks_fill_one_table_from_any_cut():
             _kernels_py.mode_table_blocks(base, lin_p, lin_pp, blocks, size, w, v)
 
 
-@pytest.mark.parametrize("m", [5, 6, 9])
+@pytest.mark.parametrize("m", [5, 6, 9, 16])
 def test_mode_table_ignores_batching_above_the_broadcast_size(m, monkeypatch):
-    # BLAS products (m > 4) return strided batches; a pair's mode is still
-    # the same bits alone as in its batch. G = U diag(0, gap) U^* plus small
-    # p and pp terms: every pair has a dominant mode the gap test accepts
+    # BLAS products (m > 4) are strided batches, copied into the table's
+    # workspace; a pair's mode is still the same bits alone as in its batch.
+    # G = U diag(0, gap) U^* plus small p and pp terms: every pair has a
+    # dominant mode the gap test accepts
     rng = np.random.default_rng(m)
     u, _ = np.linalg.qr(random_batch(rng, 1, m)[0])
     gap = -60.0 - 20.0 * rng.random(m - 1) + 5j * rng.standard_normal(m - 1)
