@@ -28,11 +28,12 @@ stacked ``@`` on contiguous (n, m, m) stacks bit for bit. The Pade solve is
 LAPACK for every m, and the contraction with w and v is two sums over the
 matrix axes.
 
-``trace_kernels`` streams a grid through a working set of ``_BATCH_ELEMENTS``
-complex numbers per batch array (64 KiB; 256 pairs of 4x4 matrices). The
-Pade step keeps about ten such arrays alive at once, so a chunk stays in L2
-cache, and a non-reducing 13,041-pair grid allocates about 1 MiB at a time
-instead of 32 MiB.
+Both kernel paths stream a grid through batches of ``_BATCH_ELEMENTS``
+complex numbers per batch array (64 KiB; 256 pairs of 4x4 matrices).
+``trace_kernels`` allocates its arrays per batch: the Pade step keeps about
+ten alive at once, so a chunk stays in L2 cache, and a non-reducing
+13,041-pair grid allocates about 1 MiB at a time instead of 32 MiB. A mode
+table allocates one workspace that all its batches reuse (see below).
 
 ``mode_table`` serves every N >= 1 of a grid from one pass over its N-free
 generators G_j = base + p_j lin_p + pp_j lin_pp, for which the kernels are
@@ -73,6 +74,20 @@ Every round runs over the whole batch: a pair leaves the iteration once
 the guard accepts it or once its trace falls below MODE_TOL of its largest
 entry, and one still refused after the last round holds NaN.
 
+The batches of one table share a workspace: five complex (m, m, n) arrays,
+n = min(pairs per batch, table size), which hold g, E, E^2, the accepted
+E^2 and a temporary. Every product, difference and matrix-vector step of
+``_modes`` and ``_gap_ok`` writes into them with ``out=``. E and E^2 trade
+places between rounds, a BLAS product is copied in, and |Re|, |Im| and the
+1-norm take a float view of whichever array is free at the moment. A
+batch then allocates only the result of ``inv`` and vectors of length n.
+Scratch allocated per batch sat at the heap top, and glibc trimmed it
+after the batch only for the next batch to fault it in again: a fresh
+``scaling`` call on perfbench's steady-link scenario took 4,100-6,200 minor
+page faults instead of 1,100-1,700. Five arrays of at most 64 KiB each
+come from the heap; one arena of their size would be mmapped, and
+unmapping it raises glibc's trim threshold for the rest of the process.
+
 The resolvent picks the eigenvalue nearest s, which need not have the
 largest real part, and its convergence says nothing about how fast the
 other modes decay in N. So a pair the guard accepts is served only when a
@@ -99,8 +114,9 @@ driven 4x4 grid at T = 500 the table agrees with Pade to 9.3e-13 at N = 5,
 1.8e-12 at N = 10 and 3.3e-12 at N = 20 (|K| <= 1). There the guard holds
 after two squarings for 4,295 of the 13,041 pairs and after three for the
 rest; at T = 200, 1,172 pairs take a fourth. No sum over matrix entries
-depends on the batch, and every operand is contiguous, so a pair's mode is
-the same bits in any batch, down to a batch of one pair.
+depends on the batch, and every operand, a workspace array among them, is
+contiguous, so a pair's mode is the same bits in any batch, down to a batch
+of one pair.
 """
 
 import math
@@ -441,9 +457,9 @@ def mode_table_blocks(base, lin_p, lin_pp, blocks, size, w, v):
 
     ``blocks`` yields (p, pp) coefficient arrays, consecutive parts of the
     grid in table order, so no array of the whole grid is needed. One
-    eigenbasis serves the table; each block is computed in batches of
-    ``_BATCH_ELEMENTS``, and a pair's mode does not depend on its batch, so
-    the table is the same bits however the grid is cut.
+    eigenbasis and one workspace serve the table; each block is computed in
+    batches of ``_BATCH_ELEMENTS``, and a pair's mode does not depend on its
+    batch, so the table is the same bits however the grid is cut.
     """
     w = np.asarray(w, dtype=complex)
     v = np.asarray(v, dtype=complex)
@@ -451,10 +467,9 @@ def mode_table_blocks(base, lin_p, lin_pp, blocks, size, w, v):
     basis = _eigenbasis(*terms)
     table = np.full((2, size), np.nan, dtype=complex)
     m = terms[0].shape[0]
-    # g, E, E^2, the accepted E^2 and a temporary, reused by every batch: a
-    # batch's matrices freed at the heap top are trimmed and faulted in again
-    # by the next. Five arrays of at most _BATCH_ELEMENTS, not one arena, so
-    # each comes from the heap, below glibc's mmap threshold
+    # g, E, E^2, the accepted E^2 and a temporary, reused by every batch so
+    # that glibc does not trim and refault them; five arrays, not one arena,
+    # so that each comes from the heap (see the module docstring)
     ws = [np.empty(m * m * min(_batch_pairs(m), size), dtype=complex) for _ in range(5)]
     terms = [x[..., None] for x in terms]
     start = 0
