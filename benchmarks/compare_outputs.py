@@ -12,8 +12,8 @@ wrote, its stdout, its stderr and its exit code.
 
 The report names every run whose exit code differs, and every CSV, SVG,
 stdout and stderr file that differs or exists on one side only. For a CSV
-of the same shape it gives, per column, the largest absolute change of the
-numeric cells and how many cells changed. Before the comparison, the run's
+of the same shape it gives, per column, the largest absolute and relative
+change of the numeric cells and how many cells changed. Before the comparison, the run's
 own directory is replaced by ``<out>`` in stdout and stderr, and the check
 times ``verify`` prints become ``(<t> s)``. Comparing a revision with itself
 checks that reruns are byte-identical. Exits 0 when every file and exit
@@ -85,25 +85,31 @@ def read_table(path):
 
 def column_changes(path_a, path_b):
     """How two differing CSVs differ: per changed column of the same shape,
-    the largest absolute change of its numeric cells and how many cells
-    changed."""
+    the largest absolute and the largest relative change of its numeric
+    cells, and how many cells changed. A cell's relative change is
+    |b - a| / max(|a|, |b|)."""
     head_a, rows_a = read_table(path_a)
     head_b, rows_b = read_table(path_b)
     if head_a != head_b or [len(r) for r in rows_a] != [len(r) for r in rows_b]:
         return f"header or shape differs ({len(rows_a)} -> {len(rows_b)} rows)"
     out = []
     for j, column in enumerate(head_a):
-        largest, changed = 0.0, 0
+        largest, relative, changed = 0.0, 0.0, 0
         for ra, rb in zip(rows_a, rows_b):
             if ra[j] == rb[j]:
                 continue
             changed += 1
             try:
-                largest = max(largest, abs(float(ra[j]) - float(rb[j])))
+                a, b = float(ra[j]), float(rb[j])
             except ValueError:
-                largest = float("nan")
+                largest = relative = float("nan")
+                continue
+            largest = max(largest, abs(b - a))
+            if a != b:
+                relative = max(relative, abs(b - a) / max(abs(a), abs(b)))
         if changed:
-            out.append(f"{column} max |change| {largest:.3g} ({changed} cells)")
+            out.append(f"{column} max |change| {largest:.3g}, relative "
+                       f"{relative:.3g} ({changed} cells)")
     return ", ".join(out) or "comment lines differ"
 
 

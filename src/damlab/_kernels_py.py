@@ -28,12 +28,14 @@ stacked ``@`` on contiguous (n, m, m) stacks bit for bit. The Pade solve is
 LAPACK for every m, and the contraction with w and v is two sums over the
 matrix axes.
 
-Both kernel paths stream a grid through batches of ``_BATCH_ELEMENTS``
-complex numbers per batch array (64 KiB; 256 pairs of 4x4 matrices).
-``trace_kernels`` allocates its arrays per batch: the Pade step keeps about
+Both kernel paths stream a grid through batches. ``trace_kernels`` takes
+``_BATCH_ELEMENTS`` complex numbers per batch array (64 KiB; 256 pairs of
+4x4 matrices) and allocates its arrays per batch: the Pade step keeps about
 ten alive at once, so a chunk stays in L2 cache, and a non-reducing
 13,041-pair grid allocates about 1 MiB at a time instead of 32 MiB. A mode
-table allocates one workspace that all its batches reuse (see below).
+table takes twice as many pairs a batch (512 of 4x4) into one workspace of
+five arrays that all its batches reuse (see below), about the memory of one
+Pade step.
 
 ``mode_table`` serves every N >= 1 of a grid from one pass over its N-free
 generators G_j = base + p_j lin_p + pp_j lin_pp, for which the kernels are
@@ -54,10 +56,16 @@ is a quadratic in (p, pp). On the driven 4x4 grid at T = 500 it puts
 has a 1-norm condition number above 1/sqrt(eps), a defective base among
 them, or whose beta_0 is repeated gets an all-NaN table.
 
-Per batch, one LAPACK ``inv`` gives the resolvent E = (G - s)^-1 at
-s = sigma + 1e-8 ||G||_1: the offset keeps every shifted matrix regular
-(at p = pp, lam = 0 = beta_0 and sigma is exact) and, being real and to
-the right of lam, keeps lam the eigenvalue nearest s. E is then squared,
+Per batch, the resolvent E = (G - s)^-1 is taken at s = sigma + 1e-8
+||G||_1: the offset keeps every shifted matrix regular (at p = pp,
+lam = 0 = beta_0 and sigma is exact) and, being real and to the right of
+lam, keeps lam the eigenvalue nearest s. Up to m = 4, the size rule of
+products, E is the adjugate adj(G - s) = det(G - s) (G - s)^-1 by cofactors
+(``_adjugate``), broadcast multiply-adds over the pair axis; above, one
+batched LAPACK ``inv``. At 512 pairs of 4x4 matrices the cofactors take
+about 0.15 ms and ``inv`` with its copy 0.38 ms, mostly call overhead per
+matrix (numpy 2.4, one thread, x86-64). The factor det never shows: the
+first guard round rescales E to largest entry 1. E is then squared,
 rescaled to largest entry 1 each time, until the rank-one guard
 
     ||E^2 - tr(E) E|| < MODE_TOL |tr E|^2  and  |tr E| >= MODE_TOL,
@@ -77,14 +85,15 @@ entry, and one still refused after the last round holds NaN.
 The batches of one table share a workspace: five complex (m, m, n) arrays,
 n = min(pairs per batch, table size), which hold g, E, E^2, the accepted
 E^2 and a temporary. Every product, difference and matrix-vector step of
-``_modes`` and ``_gap_ok`` writes into them with ``out=``. E and E^2 trade
-places between rounds, a BLAS product is copied in, and |Re|, |Im| and the
-1-norm take a float view of whichever array is free at the moment. A
-batch then allocates only the result of ``inv`` and vectors of length n.
+``_modes`` and ``_gap_ok``, the adjugate's cofactors among them, writes
+into them with ``out=``. E and E^2 trade places between rounds, a BLAS
+product or inverse is copied in, and |Re|, |Im| and the 1-norm take a float
+view of whichever array is free at the moment. Up to m = 4 a batch then
+allocates only vectors of length n; above, the result of ``inv`` as well.
 Scratch allocated per batch sat at the heap top, and glibc trimmed it
 after the batch only for the next batch to fault it in again: a fresh
 ``scaling`` call on perfbench's steady-link scenario took 4,100-6,200 minor
-page faults instead of 1,100-1,700. Five arrays of at most 64 KiB each
+page faults instead of 1,100-1,900. Five arrays of at most 128 KiB each
 come from the heap; one arena of their size would be mmapped, and
 unmapping it raises glibc's trim threshold for the rest of the process.
 
@@ -110,15 +119,18 @@ Rounding, not truncation, sets the accuracy: lam = tr(G P) is exact for
 the eigenprojector, so it carries about eps ||G||_1 of rounding (times the
 conditioning of P), and c exp(N lam) differs from the Pade kernel at N by
 about eps N ||G||_1, the order of the Pade kernel's own error. On the
-driven 4x4 grid at T = 500 the table agrees with Pade to 9.3e-13 at N = 5,
-1.8e-12 at N = 10 and 3.3e-12 at N = 20 (|K| <= 1). There the guard holds
-after two squarings for 4,295 of the 13,041 pairs and after three for the
-rest; at T = 200, 1,172 pairs take a fourth. No sum over matrix entries
-depends on the batch, and every operand, a workspace array among them, is
-contiguous, so a pair's mode is the same bits in any batch, down to a batch
-of one pair.
+driven 4x4 grid at T = 500 the table agrees with Pade to 7.3e-13 at N = 5,
+1.4e-12 at N = 10 and 2.5e-12 at N = 20 (|K| <= 1), and with a 40-digit
+eigendecomposition to 0.32 eps ||G||_1 in lam and 2 eps in c on 41 pairs
+(``||G||_1`` up to 1,075). There the guard holds after two squarings for
+4,295 of the 13,041 pairs and after three for the rest; at T = 200, 1,183
+pairs take a fourth. No sum over matrix entries depends on the batch, and
+every other step is elementwise along the pair axis, contiguous in every
+operand, a workspace array among them, so a pair's mode is the same bits
+in any batch, down to a batch of one pair.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -177,6 +189,64 @@ def _mul(x, y, out=None, scratch=None):
     out = np.multiply(x[:, 0, None], y[None, 0], out=out)
     for j in range(1, m):
         out += np.multiply(x[:, j, None], y[None, j], out=scratch)
+    return out
+
+
+def _adjugate(a, out=None, scratch=None):
+    """adj(A) = det(A) A^-1 for every matrix of a contiguous (m, m, n) batch,
+    m <= _BROADCAST_MAX_DIM, by cofactors: broadcast multiply-adds over the
+    pair axis, which need no regular A.
+
+    adj[j, i] is (-1)^(i + j) times the minor of A without row i and column
+    j. At m = 4 that minor is expanded along row i ^ 1, against the 2 x 2
+    minors of the two rows of the other half, and rows i and i + 2 share
+    each step. Given out, (m, m, n), and scratch, a flat complex buffer of
+    m * m * n entries, adj is written to out.
+    """
+    m, n = a.shape[0], a.shape[-1]
+    out = np.empty_like(a) if out is None else out
+    scratch = np.empty(m * m * n, dtype=complex) if scratch is None else scratch
+    if m == 1:
+        out.fill(1)
+        return out
+    if m == 2:
+        for i, j in itertools.product(range(2), repeat=2):
+            (np.negative if i != j else np.positive)(a[1 - i, 1 - j], out=out[j, i])
+        return out
+    if m == 3:
+        prod = _view(scratch, (n,))
+        for i, j in itertools.product(range(3), repeat=2):
+            (r0, r1), (x, y) = ([k for k in range(3) if k != skip] for skip in (i, j))
+            # the cofactor's sign swaps the minor's columns
+            if (i + j) % 2:
+                x, y = y, x
+            np.multiply(a[r0, x], a[r1, y], out=out[j, i])
+            out[j, i] -= np.multiply(a[r0, y], a[r1, x], out=prod)
+        return out
+    # the 2 x 2 minors of rows (0, 1) and of rows (2, 3) by column pair, as
+    # (2, n) arrays, then a product of that shape
+    buf = _view(scratch, (7, 2, n))
+    minor = dict(zip(itertools.combinations(range(4), 2), buf))
+    prod = buf[6]
+    for (x, y), dest in minor.items():
+        np.multiply(a[0::2, x], a[1::2, y], out=dest)
+        dest -= np.multiply(a[0::2, y], a[1::2, x], out=prod)
+    for k, j in itertools.product(range(2), range(4)):
+        # the minors without rows i = k and k + 2, expanded along rows k ^ 1
+        # and k ^ 1 + 2 against the other half's minors (so [::-1]); by
+        # column, the terms take the signs +, -, +
+        cols = [c for c in range(4) if c != j]
+        terms = [
+            (a[k ^ 1::2, c], minor[tuple(d for d in cols if d != c)][::-1]) for c in cols
+        ]
+        # the cofactor's sign swaps the first two terms and flips the third
+        odd = (k + j) % 2
+        if odd:
+            terms[:2] = terms[1::-1]
+        dest = out[j, k::2]
+        np.multiply(*terms[0], out=dest)
+        dest -= np.multiply(*terms[1], out=prod)
+        (np.subtract if odd else np.add)(dest, np.multiply(*terms[2], out=prod), out=dest)
     return out
 
 
@@ -251,13 +321,13 @@ def _batch_pairs(m):
     return max(1, _BATCH_ELEMENTS // m**2)
 
 
-def _batches(m, p, pp):
-    """Yield (lo, hi, p[lo:hi], pp[lo:hi]) for the batches of a grid's pairs."""
+def _batches(chunk, p, pp):
+    """Yield (lo, hi, p[lo:hi], pp[lo:hi]) for the batches of chunk pairs
+    of a grid."""
     p = np.asarray(p, dtype=float)
     pp = np.asarray(pp, dtype=float)
     if p.shape != pp.shape:
         raise ValueError("p and pp must have equal length")
-    chunk = _batch_pairs(m)
     for lo in range(0, p.size, chunk):
         hi = min(p.size, lo + chunk)
         yield lo, hi, p[lo:hi], pp[lo:hi]
@@ -313,7 +383,7 @@ def trace_kernels(base, lin_p, lin_pp, p, pp, w, v):
     v = np.asarray(v, dtype=complex)
     terms = [np.asarray(x, dtype=complex)[..., None] for x in (base, lin_p, lin_pp)]
     out = np.empty(np.size(p), dtype=complex)
-    for lo, hi, p_j, pp_j in _batches(terms[0].shape[0], p, pp):
+    for lo, hi, p_j, pp_j in _batches(_batch_pairs(terms[0].shape[0]), p, pp):
         out[lo:hi] = _contract(_expm(_generators(*terms, p_j, pp_j)), w, v)
     return out
 
@@ -345,7 +415,8 @@ def _eigenbasis(base, lin_p, lin_pp):
     # the 1-norm condition number needs no SVD, so it loads no more LAPACK code
     if not (np.linalg.cond(x, 1) < _EIGENBASIS_COND_MAX and np.all(gap != 0)):
         return None
-    y = np.linalg.inv(x)
+    # inv(x) by the LU solve np.linalg.inv makes; inv serves only m > 4 resolvents
+    y = np.linalg.solve(x, np.eye(x.shape[0], dtype=complex))
     terms = tuple(y @ mat @ x for mat in (base, lin_p, lin_pp))
     a, b = terms[1], terms[2]
     shift = (
@@ -408,7 +479,11 @@ def _modes(terms, p, pp, basis, w, v, ws):
     shift += _SHIFT_OFFSET * norms + np.finfo(float).tiny
     np.copyto(tmp, g)
     tmp.reshape(m * m, n)[:: m + 1] -= shift
-    np.copyto(e, np.linalg.inv(tmp.transpose(2, 0, 1)).transpose(1, 2, 0))
+    if m > _BROADCAST_MAX_DIM:
+        np.copyto(e, np.linalg.inv(tmp.transpose(2, 0, 1)).transpose(1, 2, 0))
+    else:
+        # adj(G - s) = det(G - s) (G - s)^-1; the first round's rescaling drops det
+        _adjugate(tmp, e, ws[2])
     # E^2 and tr(E^2) of the pairs the guard accepts, at the round it does
     e_read.fill(0)
     tr_read = np.zeros(n, dtype=complex)
@@ -458,8 +533,9 @@ def mode_table_blocks(base, lin_p, lin_pp, blocks, size, w, v):
     ``blocks`` yields (p, pp) coefficient arrays, consecutive parts of the
     grid in table order, so no array of the whole grid is needed. One
     eigenbasis and one workspace serve the table; each block is computed in
-    batches of ``_BATCH_ELEMENTS``, and a pair's mode does not depend on its
-    batch, so the table is the same bits however the grid is cut.
+    batches of 2 ``_BATCH_ELEMENTS`` complex numbers an array, and a pair's
+    mode does not depend on its batch, so the table is the same bits however
+    the grid is cut.
     """
     w = np.asarray(w, dtype=complex)
     v = np.asarray(v, dtype=complex)
@@ -467,17 +543,19 @@ def mode_table_blocks(base, lin_p, lin_pp, blocks, size, w, v):
     basis = _eigenbasis(*terms)
     table = np.full((2, size), np.nan, dtype=complex)
     m = terms[0].shape[0]
+    # twice trace_kernels' batch: five arrays weigh about what its Pade step does
+    chunk = 2 * _batch_pairs(m)
     # g, E, E^2, the accepted E^2 and a temporary, reused by every batch so
     # that glibc does not trim and refault them; five arrays, not one arena,
     # so that each comes from the heap (see the module docstring)
-    ws = [np.empty(m * m * min(_batch_pairs(m), size), dtype=complex) for _ in range(5)]
+    ws = [np.empty(m * m * min(chunk, size), dtype=complex) for _ in range(5)]
     terms = [x[..., None] for x in terms]
     start = 0
     for p, pp in blocks:
         p = np.asarray(p, dtype=float)
         if start + p.size > size:
             raise ValueError(f"blocks hold more than {size} pairs")
-        for lo, hi, p_j, pp_j in _batches(m, p, pp):
+        for lo, hi, p_j, pp_j in _batches(chunk, p, pp):
             if basis is not None:
                 table[:, start + lo:start + hi] = _modes(
                     terms, p_j, pp_j, basis, w, v, ws

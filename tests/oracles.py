@@ -111,6 +111,22 @@ def chi2_quantile_error(x, q, dof):
         return float(res / mpmath.exp(a * mpmath.log(y) - y - mpmath.loggamma(a)))
 
 
+def dominant_mode(g, w, v):
+    """(lam, c) of the eigenvalue lam of g of largest real part, in 40-digit
+    arithmetic: from its right and left eigenvectors r and l,
+    c = (w . r)(l . v) / (l . r), the weight of exp(N lam) in w . exp(N g) . v."""
+    import mpmath
+
+    def dot(x, y):
+        return mpmath.fsum(complex(a) * b for a, b in zip(x, y))
+
+    with mpmath.workdps(40):
+        e, left, right = mpmath.eig(mpmath.matrix(np.asarray(g).tolist()), left=True)
+        k = max(range(len(e)), key=lambda i: mpmath.re(e[i]))
+        r, l = list(right[:, k]), list(left[k, :])
+        return complex(e[k]), complex(dot(w, r) * dot(v, l) / dot(l, r))
+
+
 def random_operator(rng, d):
     return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 

@@ -95,3 +95,15 @@ def test_paths_and_check_times_are_masked(compare_outputs):
         "all 10 checks passed\n"
         "wrote <out>/verify_report.csv\n"
     )
+
+
+def test_columns_report_the_largest_absolute_and_relative_change(tmp_path, compare_outputs):
+    # the largest absolute and relative changes come from different cells;
+    # relative is |b - a| / max(|a|, |b|), so a cell leaving 0 reads 1
+    a = write_tree(tmp_path / "a", {"t.csv": "x,y,z,name\n1000,0,5,a\n1e-6,1,5,b\n"})
+    b = write_tree(tmp_path / "b", {"t.csv": "x,y,z,name\n1001,3,5,a\n2e-6,1,5,c\n"})
+    assert compare_outputs.compare(a, b) == [
+        "t.csv: x max |change| 1, relative 0.5 (2 cells), "
+        "y max |change| 3, relative 1 (1 cells), "
+        "name max |change| nan, relative nan (1 cells)"
+    ]

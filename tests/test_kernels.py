@@ -19,7 +19,7 @@ from damlab.pointer import (
 )
 from damlab.scenario import load_model_file
 
-from oracles import half_plane
+from oracles import dominant_mode, half_plane
 from test_pointer import A_TILTED, CONFIGS, driven_model, grid_kernels
 
 
@@ -259,28 +259,106 @@ def test_mode_table_blocks_fill_one_table_from_any_cut():
             _kernels_py.mode_table_blocks(base, lin_p, lin_pp, blocks, size, w, v)
 
 
-@pytest.mark.parametrize("m", [5, 6, 9, 16])
-def test_mode_table_ignores_batching_above_the_broadcast_size(m, monkeypatch):
-    # BLAS products (m > 4) are strided batches, copied into the table's
-    # workspace; a pair's mode is still the same bits alone as in its batch.
-    # G = U diag(0, gap) U^* plus small p and pp terms: every pair has a
-    # dominant mode the gap test accepts
+def _gapped_grid(m):
+    """mode_table arguments of 300 pairs of m x m generators G = U diag(0,
+    gap) U^* plus small p and pp terms: every pair has a dominant mode the
+    gap test accepts."""
     rng = np.random.default_rng(m)
     u, _ = np.linalg.qr(random_batch(rng, 1, m)[0])
     gap = -60.0 - 20.0 * rng.random(m - 1) + 5j * rng.standard_normal(m - 1)
     base = u @ np.diag(np.concatenate([[0.0], gap])) @ u.conj().T
     lin_p, lin_pp = random_batch(rng, 2, m, 0.05)
     p, pp = rng.uniform(-3.0, 3.0, (2, 300))
-    w, v = random_batch(rng, 1, m)[0][:2]
+    w, v = random_batch(rng, 2, m)[:, 0]
+    return base, lin_p, lin_pp, p, pp, w, v
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 9, 16])
+def test_mode_table_ignores_batching_above_the_broadcast_size(m, monkeypatch):
+    # up to m = 4 the resolvent is an adjugate by cofactors; above, BLAS
+    # products are strided batches, copied into the table's workspace. On
+    # both paths a pair's mode is the same bits alone as in its batch
+    base, lin_p, lin_pp, p, pp, w, v = _gapped_grid(m)
     table = _kernels_py.mode_table(base, lin_p, lin_pp, p, pp, w, v)
     assert not np.isnan(table).any()
     for j in range(p.size):
         one = slice(j, j + 1)
         alone = _kernels_py.mode_table(base, lin_p, lin_pp, p[one], pp[one], w, v)
         assert np.array_equal(alone[:, 0], table[:, j])
+    # tables take 2 * 97 pairs a batch here, so the grid spans two
     monkeypatch.setattr(_kernels_py, "_BATCH_ELEMENTS", m * m * 97)
     streamed = _kernels_py.mode_table(base, lin_p, lin_pp, p, pp, w, v)
     assert np.array_equal(streamed, table)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_adjugate_is_det_times_inverse(m):
+    rng = np.random.default_rng(40 + m)
+    a = random_batch(rng, 50, m, 3.0)
+    want = np.linalg.det(a)[:, None, None] * np.linalg.inv(a)
+    stored = np.ascontiguousarray(a.transpose(1, 2, 0))
+    out = np.empty_like(stored)
+    got = _kernels_py._adjugate(stored, out, np.empty(m * m * 50, dtype=complex))
+    assert got is out
+    # each cofactor sums (m - 1)! products of m - 1 entries
+    scale = np.abs(a).max(axis=(1, 2)) ** (m - 1)
+    err = np.abs(got.transpose(2, 0, 1) - want).max(axis=(1, 2))
+    assert np.all(err <= 16 * np.finfo(float).eps * scale)
+    assert np.array_equal(_kernels_py._adjugate(stored), got)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[0]],
+        [[2, 1j], [4, 2j]],
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+        [[2, 1, 0, 3j], [1, -1, 2, 1], [3, 0, 2, 1 + 3j], [1, 2, -2, 2j]],
+    ],
+    ids=["1", "2", "3", "4"],
+)
+def test_adjugate_of_a_singular_matrix_is_rank_one(a):
+    # rank m - 1 with small integer entries, where inv raises: every
+    # cofactor is an exact integer, and adj = r l^T with A r = 0 = l^T A
+    a = np.asarray(a, dtype=complex)
+    m = a.shape[0]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(a)
+    adj = _kernels_py._adjugate(np.ascontiguousarray(a[..., None]))[..., 0]
+    assert np.array_equal(a @ adj, np.zeros((m, m)))
+    assert np.array_equal(adj @ a, np.zeros((m, m)))
+    k = np.unravel_index(np.argmax(np.abs(adj)), adj.shape)
+    assert adj[k] != 0
+    assert np.array_equal(adj * adj[k], np.outer(adj[:, k[1]], adj[k[0], :]))
+
+
+def test_small_mode_tables_take_no_lapack_inverse(monkeypatch):
+    tables = {m: _kernels_py.mode_table(*_gapped_grid(m)) for m in (1, 2, 3, 4, 5)}
+    monkeypatch.setattr(np.linalg, "inv", None)
+    for m in (1, 2, 3, 4):
+        assert np.array_equal(_kernels_py.mode_table(*_gapped_grid(m)), tables[m])
+    with pytest.raises(TypeError):
+        _kernels_py.mode_table(*_gapped_grid(5))
+
+
+@pytest.mark.parametrize("grid", ["driven", "6"])
+def test_mode_table_matches_a_40_digit_eigendecomposition(grid):
+    # lam carries about eps ||G||_1 of rounding, c (|c| about 1) about eps;
+    # the driven T = 500 grid on the adjugate path, m = 6 on LAPACK's inverse
+    if grid == "driven":
+        args = _driven_half_plane()
+        pairs = range(0, args[3].size, 326)
+    else:
+        args = _gapped_grid(6)
+        pairs = range(0, args[3].size, 30)
+    base, lin_p, lin_pp, p, pp, w, v = args
+    lam, c = _kernels_py.mode_table(*args)
+    eps = np.finfo(float).eps
+    for j in pairs:
+        g = base + p[j] * lin_p + pp[j] * lin_pp
+        want_lam, want_c = dominant_mode(g, w, v)
+        assert abs(lam[j] - want_lam) <= 4 * eps * np.abs(g).sum(axis=0).max()
+        assert abs(c[j] - want_c) <= 64 * eps
 
 
 @pytest.mark.parametrize(
