@@ -223,21 +223,25 @@ def _adjugate(a, out=None, scratch=None):
             np.multiply(a[r0, x], a[r1, y], out=out[j, i])
             out[j, i] -= np.multiply(a[r0, y], a[r1, x], out=prod)
         return out
-    # the 2 x 2 minors of rows (0, 1) and of rows (2, 3) by column pair, as
-    # (2, n) arrays, then a product of that shape
+    # the 2 x 2 minors of rows (2, 3) and of rows (0, 1), in that order, by
+    # column pair: (2, n) arrays, then a product of that shape
     buf = _view(scratch, (7, 2, n))
     minor = dict(zip(itertools.combinations(range(4), 2), buf))
     prod = buf[6]
+    top, bottom = a[2::-2], a[3::-2]
     for (x, y), dest in minor.items():
-        np.multiply(a[0::2, x], a[1::2, y], out=dest)
-        dest -= np.multiply(a[0::2, y], a[1::2, x], out=prod)
+        np.multiply(top[:, x], bottom[:, y], out=dest)
+        dest -= np.multiply(top[:, y], bottom[:, x], out=prod)
     for k, j in itertools.product(range(2), range(4)):
         # the minors without rows i = k and k + 2, expanded along rows k ^ 1
-        # and k ^ 1 + 2 against the other half's minors (so [::-1]); by
-        # column, the terms take the signs +, -, +
-        cols = [c for c in range(4) if c != j]
+        # and k ^ 1 + 2 against the other half's minors; by column, the
+        # terms take the signs +, -, +
+        row = a[k ^ 1::2]
+        c0, c1, c2 = (c for c in range(4) if c != j)
         terms = [
-            (a[k ^ 1::2, c], minor[tuple(d for d in cols if d != c)][::-1]) for c in cols
+            (row[:, c0], minor[c1, c2]),
+            (row[:, c1], minor[c0, c2]),
+            (row[:, c2], minor[c0, c1]),
         ]
         # the cofactor's sign swaps the first two terms and flips the third
         odd = (k + j) % 2

@@ -573,7 +573,7 @@ def test_a_run_loads_neither_numpy_random_nor_openssl(tmp_path):
 def test_steady_link_call_does_not_refault_its_table_memory(tmp_path):
     # perfbench's order on its steady-link scenario: import the CLI, load the
     # scenario, then one main call. The mode table reuses one workspace across
-    # its 52 batches, 1,100-1,700 minor faults for the call; when each batch
+    # its 26 batches, 1,100-1,900 minor faults for the call; when each batch
     # allocated its scratch, glibc trimmed it from the heap top after the
     # batch and the next faulted it in again, 4,100-6,200 faults
     pytest.importorskip("resource")
