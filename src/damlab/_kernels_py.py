@@ -63,7 +63,7 @@ lam, keeps lam the eigenvalue nearest s. Up to m = 4, the size rule of
 products, E is the adjugate adj(G - s) = det(G - s) (G - s)^-1 by cofactors
 (``_adjugate``), broadcast multiply-adds over the pair axis; above, one
 batched LAPACK ``inv``. At 512 pairs of 4x4 matrices the cofactors take
-about 0.15 ms and ``inv`` with its copy 0.38 ms, mostly call overhead per
+about 0.13 ms and ``inv`` with its copy 0.35 ms, mostly call overhead per
 matrix (numpy 2.4, one thread, x86-64). The factor det never shows: the
 first guard round rescales E to largest entry 1. E is then squared,
 rescaled to largest entry 1 each time, until the rank-one guard
@@ -205,7 +205,6 @@ def _adjugate(a, out=None, scratch=None):
     """
     m, n = a.shape[0], a.shape[-1]
     out = np.empty_like(a) if out is None else out
-    scratch = np.empty(m * m * n, dtype=complex) if scratch is None else scratch
     if m == 1:
         out.fill(1)
         return out
@@ -213,6 +212,7 @@ def _adjugate(a, out=None, scratch=None):
         for i, j in itertools.product(range(2), repeat=2):
             (np.negative if i != j else np.positive)(a[1 - i, 1 - j], out=out[j, i])
         return out
+    scratch = np.empty(m * m * n, dtype=complex) if scratch is None else scratch
     if m == 3:
         prod = _view(scratch, (n,))
         for i, j in itertools.product(range(3), repeat=2):
