@@ -33,17 +33,34 @@ Both kernel paths stream a grid through batches. ``trace_kernels`` takes
 4x4 matrices) and allocates its arrays per batch: the Pade step keeps about
 ten alive at once, so a chunk stays in L2 cache, and a non-reducing
 13,041-pair grid allocates about 1 MiB at a time instead of 32 MiB. A mode
-table takes twice as many pairs a batch (512 of 4x4) into one workspace of
-five arrays that all its batches reuse (see below), about the memory of one
-Pade step.
+table takes twice as many pairs a batch (512 of 4x4); above m = 2 it takes
+them into one workspace of five arrays that all its batches reuse (see
+below), about the memory of one Pade step.
 
 ``mode_table`` serves every N >= 1 of a grid from one pass over its N-free
 generators G_j = base + p_j lin_p + pp_j lin_pp, for which the kernels are
-K_N = w . exp(N G_j) . v, by shifted inverse iteration (Wilkinson, The
-Algebraic Eigenvalue Problem, 1965); it takes no exponential.
+K_N = w . exp(N G_j) . v, in closed form up to m = 2 and by shifted inverse
+iteration (Wilkinson, The Algebraic Eigenvalue Problem, 1965) above; it
+takes no exponential.
 
-Per table, one ``np.linalg.eig`` gives the eigenvalues beta_k and the
-eigenvectors X of the base, beta_0 of largest real part first. In that
+Up to m = 2, every two-state realization (the generalized amplitude
+damping qubit's among them), the modes are elementwise along the pair axis.
+The eigenvalues of G are the roots of a quadratic: with h = tr(G) / 2 and
+d = sqrt(((G_00 - G_11) / 2)^2 + G_01 G_10), the root of larger modulus is
+h + d or h - d, whichever adds without cancellation, and the other is
+det(G) over it. lam is the root of larger real part, mu the other, and
+c = w . (G - mu) . v / (lam - mu), as (G - mu) / (lam - mu) is the spectral
+projector of lam. The pair is served when Re mu <= Re lam - ``_MODE_GAP``,
+the gap test below on its one-entry deflated block, mu; so a degenerate G,
+or one whose eigenvalues share a real part, is refused. At m = 1, lam = G
+and c = w . v. No eigenbasis, workspace, resolvent or guard round is taken:
+verify's 13 tables of 161 pairs build in about 1-2 ms instead of 6-9 ms
+(numpy 2.4, one thread, x86-64). On the 2,048 pairs the shipped two-state
+grids serve, lam agrees with a 40-digit eigendecomposition to
+0.14 eps ||G||_1 and c to 2.0 eps.
+
+Above m = 2, per table, one ``np.linalg.eig`` gives the eigenvalues beta_k
+and the eigenvectors X of the base, beta_0 of largest real part first. In that
 basis G' = X^-1 G X = D + p A' + pp B', and the second-order
 Rayleigh-Schroedinger estimate of the eigenvalue that continues beta_0,
 
@@ -59,14 +76,14 @@ them, or whose beta_0 is repeated gets an all-NaN table.
 Per batch, the resolvent E = (G - s)^-1 is taken at s = sigma + 1e-8
 ||G||_1: the offset keeps every shifted matrix regular (at p = pp,
 lam = 0 = beta_0 and sigma is exact) and, being real and to the right of
-lam, keeps lam the eigenvalue nearest s. Up to m = 4, the size rule of
-products, E is the adjugate adj(G - s) = det(G - s) (G - s)^-1 by cofactors
-(``_adjugate``), broadcast multiply-adds over the pair axis; above, one
-batched LAPACK ``inv``. At 512 pairs of 4x4 matrices the cofactors take
-about 0.13 ms and ``inv`` with its copy 0.35 ms, mostly call overhead per
-matrix (numpy 2.4, one thread, x86-64). The factor det never shows: the
-first guard round rescales E to largest entry 1. E is then squared,
-rescaled to largest entry 1 each time, until the rank-one guard
+lam, keeps lam the eigenvalue nearest s. At m = 3 and 4, up to the size
+rule of products, E is the adjugate adj(G - s) = det(G - s) (G - s)^-1 by
+cofactors (``_adjugate``), broadcast multiply-adds over the pair axis;
+above, one batched LAPACK ``inv``. At 512 pairs of 4x4 matrices the
+cofactors take about 0.13 ms and ``inv`` with its copy 0.35 ms, mostly call
+overhead per matrix (numpy 2.4, one thread, x86-64). The factor det never
+shows: the first guard round rescales E to largest entry 1. E is then
+squared, rescaled to largest entry 1 each time, until the rank-one guard
 
     ||E^2 - tr(E) E|| < MODE_TOL |tr E|^2  and  |tr E| >= MODE_TOL,
 
@@ -88,7 +105,7 @@ E^2 and a temporary. Every product, difference and matrix-vector step of
 ``_modes`` and ``_gap_ok``, the adjugate's cofactors among them, writes
 into them with ``out=``. E and E^2 trade places between rounds, a BLAS
 product or inverse is copied in, and |Re|, |Im| and the 1-norm take a float
-view of whichever array is free at the moment. Up to m = 4 a batch then
+view of whichever array is free at the moment. At m = 3 and 4 a batch then
 allocates only vectors of length n; above, the result of ``inv`` as well.
 Scratch allocated per batch sat at the heap top, and glibc trimmed it
 after the batch only for the next batch to fault it in again: a fresh
@@ -109,11 +126,10 @@ disc of its columns, must lie ``_MODE_GAP`` = 2 ln(1/MODE_TOL) = 46.05 left
 of Re lam. Each neglected mode of exp(N G) is then below
 exp(-46.05 N) = MODE_TOL^(2N) of the kept one at every N >= 1, up to the
 transient of the subdominant modes (the conditioning of their projectors):
-the decay at which exp(G / 2) is rank one to MODE_TOL. For m = 1, M is
-empty and every accepted pair is served. X^-1 G X carries rounding of about
-eps cond(X) ||G||, at most sqrt(eps) ||G|| here, which moves a disc edge by
-far less than the margin. A refused pair is computed by ``trace_kernels``
-at each N.
+the decay at which exp(G / 2) is rank one to MODE_TOL. X^-1 G X carries
+rounding of about eps cond(X) ||G||, at most sqrt(eps) ||G|| here, which
+moves a disc edge by far less than the margin. A refused pair is computed
+by ``trace_kernels`` at each N.
 
 Rounding, not truncation, sets the accuracy: lam = tr(G P) is exact for
 the eigenprojector, so it carries about eps ||G||_1 of rounding (times the
@@ -194,8 +210,8 @@ def _mul(x, y, out=None, scratch=None):
 
 def _adjugate(a, out=None, scratch=None):
     """adj(A) = det(A) A^-1 for every matrix of a contiguous (m, m, n) batch,
-    m <= _BROADCAST_MAX_DIM, by cofactors: broadcast multiply-adds over the
-    pair axis, which need no regular A.
+    m = 3 or 4, by cofactors: broadcast multiply-adds over the pair axis,
+    which need no regular A.
 
     adj[j, i] is (-1)^(i + j) times the minor of A without row i and column
     j. At m = 4 that minor is expanded along row i ^ 1, against the 2 x 2
@@ -205,13 +221,6 @@ def _adjugate(a, out=None, scratch=None):
     """
     m, n = a.shape[0], a.shape[-1]
     out = np.empty_like(a) if out is None else out
-    if m == 1:
-        out.fill(1)
-        return out
-    if m == 2:
-        for i, j in itertools.product(range(2), repeat=2):
-            (np.negative if i != j else np.positive)(a[1 - i, 1 - j], out=out[j, i])
-        return out
     scratch = np.empty(m * m * n, dtype=complex) if scratch is None else scratch
     if m == 3:
         prod = _view(scratch, (n,))
@@ -519,13 +528,43 @@ def _modes(terms, p, pp, basis, w, v, ws):
     return np.where(served, np.stack([lam, c]), np.nan)
 
 
+def _closed_modes(terms, p, pp, w, v):
+    """Rows (lam, c) of the dominant mode of every G = base + p_j lin_p +
+    pp_j lin_pp in a batch of 1 x 1 or 2 x 2 generators, in closed form, NaN
+    where the gap test refuses the pair; terms are the (m, m, 1) base, lin_p
+    and lin_pp."""
+    g = _generators(*terms, p, pp)
+    _one_norms(g)
+    if g.shape[0] == 1:
+        return np.stack([g[0, 0], np.full(p.size, w[0] * v[0])])
+    (a, b), (c, d) = g
+    h, half = (a + d) / 2, (a - d) / 2
+    root = np.sqrt(half * half + b * c)
+    # the root of larger modulus adds h and root without cancellation;
+    # det / it is the other
+    big = np.where((h.conj() * root).real >= 0, h + root, h - root)
+    # a degenerate G divides by 0 here and is refused below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        small = (a * d - b * c) / big
+        first = big.real >= small.real
+        lam, mu = np.where(first, big, small), np.where(first, small, big)
+        # (G - mu) / (lam - mu) is lam's spectral projector
+        g.reshape(4, -1)[::3] -= mu
+        weight = _contract(g, w, v) / (lam - mu)
+    served = mu.real <= lam.real - _MODE_GAP
+    return np.where(served, np.stack([lam, weight]), np.nan)
+
+
 def mode_table(base, lin_p, lin_pp, p, pp, w, v):
     """Dominant modes of G_j = base + p_j lin_p + pp_j lin_pp, shape (2, n).
 
     Row 0 holds lam_j and row 1 c_j, so that w . exp(N G_j) . v = c_j
-    exp(N lam_j) for every N >= 1. Pairs the rank-one guard or the gap test
-    refuses, and every pair of a base without a usable eigenbasis, hold NaN
-    in both rows. Arguments are those of ``trace_kernels``.
+    exp(N lam_j) for every N >= 1. Up to m = 2 the modes are the closed-form
+    roots of G's characteristic quadratic and the weight of lam's spectral
+    projector, and only the gap test refuses a pair. Above, pairs the
+    rank-one guard or the gap test refuses, and every pair of a base
+    without a usable eigenbasis, hold NaN in both rows. Arguments are those
+    of ``trace_kernels``.
     """
     p = np.asarray(p, dtype=float)
     return mode_table_blocks(base, lin_p, lin_pp, [(p, pp)], p.size, w, v)
@@ -535,24 +574,27 @@ def mode_table_blocks(base, lin_p, lin_pp, blocks, size, w, v):
     """``mode_table`` of a grid of ``size`` pairs given as a stream of blocks.
 
     ``blocks`` yields (p, pp) coefficient arrays, consecutive parts of the
-    grid in table order, so no array of the whole grid is needed. One
-    eigenbasis and one workspace serve the table; each block is computed in
-    batches of 2 ``_BATCH_ELEMENTS`` complex numbers an array, and a pair's
-    mode does not depend on its batch, so the table is the same bits however
-    the grid is cut.
+    grid in table order, so no array of the whole grid is needed. Up to
+    m = 2 each pair's mode is taken in closed form; above, one eigenbasis
+    and one workspace serve the table. Each block is computed in batches of
+    2 ``_BATCH_ELEMENTS`` complex numbers an array, and a pair's mode does
+    not depend on its batch, so the table is the same bits however the grid
+    is cut.
     """
     w = np.asarray(w, dtype=complex)
     v = np.asarray(v, dtype=complex)
     terms = [np.asarray(x, dtype=complex) for x in (base, lin_p, lin_pp)]
-    basis = _eigenbasis(*terms)
-    table = np.full((2, size), np.nan, dtype=complex)
     m = terms[0].shape[0]
+    basis = _eigenbasis(*terms) if m > 2 else None
+    table = np.full((2, size), np.nan, dtype=complex)
     # twice trace_kernels' batch: five arrays weigh about what its Pade step does
     chunk = 2 * _batch_pairs(m)
     # g, E, E^2, the accepted E^2 and a temporary, reused by every batch so
     # that glibc does not trim and refault them; five arrays, not one arena,
     # so that each comes from the heap (see the module docstring)
-    ws = [np.empty(m * m * min(chunk, size), dtype=complex) for _ in range(5)]
+    ws = None
+    if m > 2:
+        ws = [np.empty(m * m * min(chunk, size), dtype=complex) for _ in range(5)]
     terms = [x[..., None] for x in terms]
     start = 0
     for p, pp in blocks:
@@ -560,7 +602,11 @@ def mode_table_blocks(base, lin_p, lin_pp, blocks, size, w, v):
         if start + p.size > size:
             raise ValueError(f"blocks hold more than {size} pairs")
         for lo, hi, p_j, pp_j in _batches(chunk, p, pp):
-            if basis is not None:
+            if m <= 2:
+                table[:, start + lo:start + hi] = _closed_modes(
+                    terms, p_j, pp_j, w, v
+                )
+            elif basis is not None:
                 table[:, start + lo:start + hi] = _modes(
                     terms, p_j, pp_j, basis, w, v, ws
                 )

@@ -305,6 +305,11 @@ class SteadyStateBundle:
         return np.swapaxes(y.T.reshape(x.shape), -1, -2)
 
 
+# (model, theta) -> bundle, least recently used first
+_BUNDLE_MEMO = {}
+_BUNDLE_MEMO_SIZE = 4
+
+
 def steady_state_bundle(model, theta):
     """Steady state, gap and Liouvillian for ``model`` at ``theta``.
 
@@ -312,8 +317,28 @@ def steady_state_bundle(model, theta):
     tolerance) or a vanishing gap. The steady state comes from the bordered
     solve with trace 1; it is Hermitized, checked for positivity, cleaned of
     eigenvalue dust in [-STEADY_TOL, 0) and renormalized.
+
+    Bundles are kept in a memo of the ``_BUNDLE_MEMO_SIZE`` = 4 most
+    recently used (model, theta), so the runs, checks and sweep points that
+    share a theta share one solve and one bundle, whose arrays are
+    read-only. The key holds the model itself, which compares by identity
+    and stays alive while its entry does, and the bytes of theta. A refusal
+    is not kept: every call on a model without a unique gapped steady state
+    raises.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    key = (model, theta.tobytes())
+    bundle = _BUNDLE_MEMO.pop(key, None)
+    if bundle is None:
+        bundle = _solve_steady_state(model, theta)
+        if len(_BUNDLE_MEMO) >= _BUNDLE_MEMO_SIZE:
+            del _BUNDLE_MEMO[next(iter(_BUNDLE_MEMO))]
+    _BUNDLE_MEMO[key] = bundle
+    return bundle
+
+
+def _solve_steady_state(model, theta):
+    """The bundle of ``steady_state_bundle``, solved afresh, read-only."""
     lmat = model.liouvillian(theta)
     gap = _steady_gaps(lmat[None], model.name, theta[None])[0]
     d = model.system_dim
@@ -325,7 +350,9 @@ def steady_state_bundle(model, theta):
     w = np.clip(w, 0.0, None)
     rho = (v * w) @ v.conj().T
     rho = rho / np.trace(rho).real
-    return SteadyStateBundle(rho_ss=rho, gap=float(gap), liouvillian=lmat)
+    return SteadyStateBundle(
+        rho_ss=_read_only(rho), gap=float(gap), liouvillian=_read_only(lmat)
+    )
 
 
 def gad_pseudoinverse_closed_form(x, theta):

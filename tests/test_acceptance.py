@@ -157,3 +157,21 @@ def test_suite_assembles_each_models_dissipators_once(monkeypatch):
     assert models.gad_model() is models.gad_model()
     used = (models.gad_model(), models.product_gad_model(2))
     assert len(assembled) == sum(len(m.jumps) for m in used) == 6
+
+
+def test_suite_solves_each_steady_state_once(monkeypatch):
+    # the suite reads 30 bundles at 7 distinct (model, theta); the bundle
+    # memo solves each of them once
+    monkeypatch.setattr(models, "_BUNDLE_MEMO", {})
+    solves = []
+    solve = models._solve_steady_state
+
+    def counted(model, theta):
+        solves.append((model.name, tuple(theta)))
+        return solve(model, theta)
+
+    monkeypatch.setattr(models, "_solve_steady_state", counted)
+    scn = load_scenario(VERIFY_INI)
+    results = run_checks(VerifyParams(seed=scn.seed), checks=scn.checks)
+    assert all(res.passed for res in results)
+    assert len(solves) == len(set(solves)) == 7

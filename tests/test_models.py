@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from damlab import models
 from damlab.estimation import steady_expectation_link
 from damlab.models import (
     EXCITED_PROJECTOR,
@@ -186,6 +187,50 @@ def dephasing_model():
 def test_degenerate_steady_space_is_rejected():
     with pytest.raises(ValueError, match="degenerate"):
         steady_state_bundle(dephasing_model(), (1.0,))
+
+
+def test_bundles_are_memoized_per_model_and_theta(monkeypatch):
+    monkeypatch.setattr(models, "_BUNDLE_MEMO", {})
+    solves = []
+    solve = models._solve_steady_state
+
+    def counted(model, theta):
+        solves.append(tuple(theta))
+        return solve(model, theta)
+
+    monkeypatch.setattr(models, "_solve_steady_state", counted)
+    b = steady_state_bundle(gad_model(), (0.3,))
+    # the same theta however it is passed: one solve, one bundle
+    assert steady_state_bundle(gad_model(), np.array([0.3])) is b
+    assert steady_state_bundle(gad_model(), 0.3) is b
+    assert solves == [(0.3,)]
+    for a in (b.rho_ss, b.liouvillian):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0.0
+    # four entries, least recently used out first
+    for theta in (0.1, 0.2, 0.4):
+        steady_state_bundle(gad_model(), (theta,))
+    assert len(models._BUNDLE_MEMO) == models._BUNDLE_MEMO_SIZE == 4
+    assert steady_state_bundle(gad_model(), (0.3,)) is b
+    steady_state_bundle(gad_model(), (0.6,))
+    assert steady_state_bundle(gad_model(), (0.3,)) is b
+    steady_state_bundle(gad_model(), (0.1,))
+    assert solves == [(0.3,), (0.1,), (0.2,), (0.4,), (0.6,), (0.1,)]
+    # a model that only looks the same is another key
+    other = LindbladModel(name="gad", param_domain=((0.0, 1.0),), hamiltonian=None,
+                          jumps=gad_model().jumps)
+    assert steady_state_bundle(other, (0.3,)) is not b
+    assert len(solves) == 7
+
+
+def test_a_refused_steady_state_is_refused_at_every_call(monkeypatch):
+    monkeypatch.setattr(models, "_BUNDLE_MEMO", {})
+    model = dephasing_model()
+    for _ in range(3):
+        with pytest.raises(ValueError, match="degenerate"):
+            steady_state_bundle(model, (1.0,))
+    assert models._BUNDLE_MEMO == {}
 
 
 def test_steady_link_rejects_degenerate_steady_space():

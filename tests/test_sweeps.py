@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import damlab.models
+from damlab import sweeps
 from damlab.models import EXCITED_PROJECTOR, gad_model, steady_state_bundle
 from damlab.pointer import DamRun, default_apparatus
 from damlab.scenario import load_scenario
@@ -150,11 +151,19 @@ def test_scaling_sweep_builds_one_bundle_per_run(tmp_path, monkeypatch):
         "[sweep]\naxis = N\nvalues = 10, 20\n"
     )
     scn = load_scenario(path)
-    calls = []
+    calls, solves = [], []
+    solve = damlab.models._solve_steady_state
 
     def counted(model, theta, *args, **kwargs):
         calls.append(tuple(theta))
         return steady_state_bundle(model, theta, *args, **kwargs)
+
+    def counted_solve(model, theta):
+        solves.append(tuple(theta))
+        return solve(model, theta)
+
+    monkeypatch.setattr(damlab.models, "_BUNDLE_MEMO", {})
+    monkeypatch.setattr(damlab.models, "_solve_steady_state", counted_solve)
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("damlab") and mod is not None:
@@ -164,6 +173,32 @@ def test_scaling_sweep_builds_one_bundle_per_run(tmp_path, monkeypatch):
     result = scaling_sweep(scn)
     assert len([r for r in result.rows if r.series == "dam"]) == 2
     assert calls == [(0.3, 0.6)] * 4
+    # and all four share one steady-state solve
+    assert solves == [(0.3, 0.6)]
+
+
+@pytest.mark.parametrize(
+    "axis, values, checked",
+    [("N", "10, 20", [(0.5,)]), ("theta", "0.3, 0.5", [(0.3,), (0.5,)])],
+)
+def test_scaling_sweep_checks_the_identity_link_once_per_theta(
+    tmp_path, monkeypatch, axis, values, checked
+):
+    # the check solves for the steady response at the point's theta, which
+    # only a theta sweep moves
+    extra = f"[sweep]\naxis = {axis}\nvalues = {values}\n"
+    scn = scenario(tmp_path, t="500", n="10", extra=extra)
+    seen = []
+    response = sweeps._steady_response
+
+    def counted(model, observables, thetas):
+        seen.append(tuple(thetas[0]))
+        return response(model, observables, thetas)
+
+    monkeypatch.setattr(sweeps, "_steady_response", counted)
+    result = scaling_sweep(scn)
+    assert len(result.series("dam")) == len(values.split(","))
+    assert seen == checked
 
 
 def test_scaling_sweep_needs_sweep_section(tmp_path):
